@@ -11,11 +11,12 @@ Usage: python scripts/search_combined_exclusions.py [count] [seed]
 
 import random
 import sys
+from pathlib import Path
 
 from kahlercheck.obstructions import CITE_COMBINED, VerdictCode, evaluate
 from kahlercheck.presentation import format_presentation
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from randgen import random_presentation  # noqa: E402
 
 

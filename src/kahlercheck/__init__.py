@@ -28,7 +28,7 @@ from .presentation import (
     format_presentation,
     parse_presentation,
 )
-from .report import ReportDocument, build_report, render_json, render_text
+from .report import build_report, render_json, render_text
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "ParseError",
     "Presentation",
     "RelatorClass",
-    "ReportDocument",
     "Verdict",
     "VerdictCode",
     "Word",

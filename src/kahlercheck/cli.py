@@ -13,19 +13,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import fixtures, report
+from .obstructions import ObstructionReport
 from .presentation import ParseError, parse_presentation
-from .report import ReportDocument
 
 
 def _load(path: Path):
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}", 0, 0) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; locate it as the parser would.
+        lines = (data[:exc.start].decode("utf-8") + "\ufffd").splitlines()
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                         len(lines), len(lines[-1])) from exc
     return parse_presentation(text)
 
 
@@ -49,30 +55,16 @@ def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
     return 0
 
 
-def _batch_rows(directory: Path) -> tuple[list[tuple[str, ReportDocument]],
+def _batch_rows(directory: Path) -> tuple[list[tuple[str, ObstructionReport]],
                                           list[tuple[str, str]]]:
-    paths = sorted(
-        p for p in directory.iterdir()
-        if p.is_file() and not p.name.startswith(".")
-    )
-
-    def work(path: Path):
-        try:
-            return path.name, report.build_report(_load(path)), None
-        except ParseError as exc:
-            return path.name, None, str(exc)
-
-    rows: list[tuple[str, ReportDocument]] = []
+    rows: list[tuple[str, ObstructionReport]] = []
     errors: list[tuple[str, str]] = []
-    if paths:
-        with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-            for name, doc, error in pool.map(work, paths):
-                if doc is not None:
-                    rows.append((name, doc))
-                else:
-                    errors.append((name, error or "unknown error"))
-    rows.sort(key=lambda item: item[0])
-    errors.sort(key=lambda item: item[0])
+    for path in sorted(p for p in directory.iterdir()
+                       if p.is_file() and not p.name.startswith(".")):
+        try:
+            rows.append((path.name, report.build_report(_load(path))))
+        except ParseError as exc:
+            errors.append((path.name, str(exc)))
     return rows, errors
 
 

@@ -46,8 +46,9 @@ from .presentation import Presentation
 
 @dataclass(frozen=True)
 class AbelianizationData:
-    """Degree-1 layer: relator exponent matrix, its rank and kernel."""
+    """Degree-1 layer: relator expansions, exponent matrix, its rank and kernel."""
 
+    series: tuple[magnus.TruncatedSeries2, ...]  # expansion of relator i
     exponent_matrix: RationalMatrix   # s x n, row i = exponent sums of relator i
     rank: int                         # k
     kernel: RationalMatrix            # s x (s - k), columns = relation combinations
@@ -71,11 +72,11 @@ class AbelianizationData:
 
 
 def abelianization_data(pres: Presentation) -> AbelianizationData:
-    rows = [magnus.expand(rel, pres.n).linear for rel in pres.relators]
-    matrix = RationalMatrix.from_rows(rows, pres.n)
-    red = rref(matrix)
+    series = tuple(magnus.expand(rel, pres.n) for rel in pres.relators)
+    matrix = RationalMatrix.from_rows([x.linear for x in series], pres.n)
+    quotient = quotient_basis(matrix, pres.n)
     kernel = nullspace(matrix.transpose())
-    return AbelianizationData(matrix, red.rank, kernel, quotient_basis(matrix, pres.n))
+    return AbelianizationData(series, matrix, len(quotient.pivots), kernel, quotient)
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,7 @@ class CommutatorRelations:
         return wedge_dim - self.dim_relations
 
 
-def commutator_relations(pres: Presentation,
-                         ab: AbelianizationData) -> CommutatorRelations:
+def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
     """Wedge-square relation space spanned by the kernel combinations.
 
     For a combination lambda, the quadratic coefficient matrices of the
@@ -103,7 +103,7 @@ def commutator_relations(pres: Presentation,
     """
     n, q = ab.n, ab.q
     coords = ab.quotient.coords                      # q x n
-    quads = [magnus.expand(rel, n).quadratic for rel in pres.relators]
+    quads = [x.quadratic for x in ab.series]
     pairs_q = wedge_pairs(q)
     columns: list[tuple[Fraction, ...]] = []
     for col in range(ab.kernel.cols):
@@ -177,15 +177,19 @@ class RelatorClass(Enum):
 
 
 def classify_single_relator(pres: Presentation) -> RelatorClass:
-    """Locate the single relator in the lower central series of the free group.
+    """Locate the single relator in the lower central series of the free group."""
+    if pres.s != 1:
+        raise ValueError(f"expected exactly one relator, got {pres.s}")
+    return classify_relator_series(magnus.expand(pres.relators[0], pres.n))
+
+
+def classify_relator_series(series: magnus.TruncatedSeries2) -> RelatorClass:
+    """Lower central series depth of a relator, read from its expansion.
 
     The filtration of a free group by the lower central series matches
     the filtration by powers of the augmentation ideal, so the degree-2
     series data decides membership up to depth 3.
     """
-    if pres.s != 1:
-        raise ValueError(f"expected exactly one relator, got {pres.s}")
-    series = magnus.expand(pres.relators[0], pres.n)
     if any(series.linear):
         return RelatorClass.NOT_IN_GAMMA2
     if any(any(row) for row in series.quadratic):

@@ -134,22 +134,10 @@ def nullspace(matrix: RationalMatrix) -> RationalMatrix:
     """Matrix whose columns form a basis of the right kernel.
 
     One basis vector per free column, with a 1 in that coordinate; the
-    result has matrix.cols rows and (cols - rank) columns.
+    result has matrix.cols rows and (cols - rank) columns.  These are the
+    rows of the quotient coordinates modulo the row space.
     """
-    red = rref(matrix)
-    pivot_set = set(red.pivots)
-    free = [c for c in range(matrix.cols) if c not in pivot_set]
-    columns = []
-    for f in free:
-        v = [Fraction(0)] * matrix.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(red.pivots):
-            v[p] = -red.matrix.entries[i][f]
-        columns.append(v)
-    return RationalMatrix(
-        tuple(tuple(col[i] for col in columns) for i in range(matrix.cols)),
-        len(columns),
-    )
+    return quotient_basis(matrix, matrix.cols).coords.transpose()
 
 
 @dataclass(frozen=True)

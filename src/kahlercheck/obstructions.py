@@ -19,7 +19,7 @@ from enum import Enum
 from math import comb
 
 from . import gradedlie
-from .presentation import Presentation
+from .presentation import Presentation, format_presentation
 
 
 class VerdictCode(Enum):
@@ -170,6 +170,9 @@ def overall_code(verdicts: tuple[Verdict, ...], all_excluded: bool) -> VerdictCo
 
 @dataclass(frozen=True)
 class ObstructionReport:
+    """Everything one analysis computes: invariants, model stage, verdicts."""
+
+    presentation: str        # the input in canonical text form
     n: int
     s: int
     k: int
@@ -183,6 +186,7 @@ class ObstructionReport:
     m_max: int
     excluded_genera: tuple[int, ...]
     all_genera_excluded: bool
+    model: gradedlie.ModelStage
     verdicts: tuple[Verdict, ...]
     overall: VerdictCode
 
@@ -190,7 +194,7 @@ class ObstructionReport:
 def evaluate(pres: Presentation) -> ObstructionReport:
     """Run the pipeline and every obstruction check on one presentation."""
     ab = gradedlie.abelianization_data(pres)
-    rel = gradedlie.commutator_relations(pres, ab)
+    rel = gradedlie.commutator_relations(ab)
     grl = gradedlie.graded_lie_algebra(ab, rel)
     return evaluate_computed(pres, ab, rel, grl)
 
@@ -203,7 +207,7 @@ def evaluate_computed(pres: Presentation,
     free = gradedlie.is_free_two_step(rel)
     genus = gradedlie.surface_genus(grl)
     relator_class = (
-        gradedlie.classify_single_relator(pres) if pres.s == 1 else None
+        gradedlie.classify_relator_series(ab.series[0]) if pres.s == 1 else None
     )
 
     q, dim2 = ab.q, rel.dim2
@@ -239,11 +243,13 @@ def evaluate_computed(pres: Presentation,
             "genus dimension counts",
         ))
     return ObstructionReport(
+        presentation=format_presentation(pres),
         n=pres.n, s=pres.s, k=ab.rank, q=q,
         dim_kernel=ab.dim_kernel, dim_kernel_deg2=rel.dim_kernel,
         dim_relations=rel.dim_relations, dim2=dim2,
         free_two_step=free, surface_genus=genus,
         m_max=m_max, excluded_genera=excluded,
         all_genera_excluded=all_excluded,
+        model=gradedlie.minimal_model_stage(grl),
         verdicts=tuple(verdicts), overall=overall,
     )

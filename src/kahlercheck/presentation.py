@@ -24,6 +24,11 @@ from typing import Iterable, Iterator
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+# Deepest parenthesis nesting accepted in a relator.  The word parser
+# recurses three frames per level, so this keeps far below Python's
+# default recursion limit.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     """Syntax or semantic error in presentation text, with location."""
@@ -208,6 +213,7 @@ class _WordParser:
         self.tokens = tokens
         self.pos = 0
         self.gen_index = gen_index
+        self.depth = 0
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -265,15 +271,21 @@ class _WordParser:
                 raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.col)
             return Word.generator(index)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok.line, tok.col)
+            self.depth += 1
             first = self.parse_word(closers=(",", ")"))
             nxt = self._next(describe="',' or ')'")
             if nxt.kind == ",":
                 second = self.parse_word(closers=(")",))
                 self._next(")")
-                return first * second * first.inverse() * second.inverse()
-            if nxt.kind == ")":
-                return first
-            raise ParseError(f"expected ',' or ')', found {nxt.text!r}", nxt.line, nxt.col)
+                first = first * second * first.inverse() * second.inverse()
+            elif nxt.kind != ")":
+                raise ParseError(f"expected ',' or ')', found {nxt.text!r}",
+                                 nxt.line, nxt.col)
+            self.depth -= 1
+            return first
         raise ParseError(f"expected a generator or '(', found {tok.text!r}", tok.line, tok.col)
 
 

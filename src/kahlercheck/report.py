@@ -1,4 +1,4 @@
-"""Analysis reports: assembly, consistency re-checks, text and JSON output.
+"""Analysis reports: consistency re-checks, text and JSON output.
 
 JSON schema (version 1), fixed key order, integers as JSON numbers and
 matrix entries as exact rational strings from Fraction (``"3"``,
@@ -13,78 +13,41 @@ matrix entries as exact rational strings from Fraction (``"3"``,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
 
-from . import gradedlie, nilpotent, obstructions
-from .presentation import Presentation, format_presentation
-
-
-@dataclass(frozen=True)
-class ReportDocument:
-    presentation: str
-    n: int
-    s: int
-    k: int
-    q: int
-    dim_ker_d0: int
-    dim_ker_d1: int
-    dim_w: int
-    dim2: int
-    grl_free: bool
-    surface_genus: int | None
-    m_max: int
-    excluded_genera: tuple[int, ...]
-    model: gradedlie.ModelStage
-    verdicts: tuple[obstructions.Verdict, ...]
-    overall: obstructions.VerdictCode
+from . import nilpotent, obstructions
+from .obstructions import ObstructionReport
+from .presentation import Presentation
 
 
 class ReportInvariantError(RuntimeError):
     """A report failed its arithmetic self-checks before emission."""
 
 
-def _verify(doc: ReportDocument) -> None:
+def _verify(doc: ObstructionReport) -> None:
     checks = (
         ("q = n - k", doc.q == doc.n - doc.k),
-        ("dim ker d0 = s - k", doc.dim_ker_d0 == doc.s - doc.k),
+        ("dim ker d0 = s - k", doc.dim_kernel == doc.s - doc.k),
         ("dim W = dim ker d0 - dim ker d1",
-         doc.dim_w == doc.dim_ker_d0 - doc.dim_ker_d1),
+         doc.dim_relations == doc.dim_kernel - doc.dim_kernel_deg2),
         ("dim2 = C(q,2) - dim ker d0 + dim ker d1",
-         doc.dim2 == comb(doc.q, 2) - doc.dim_ker_d0 + doc.dim_ker_d1),
+         doc.dim2 == comb(doc.q, 2) - doc.dim_kernel + doc.dim_kernel_deg2),
         ("model dims", doc.model.dim_v1 == doc.q and doc.model.dim_v2 == doc.dim2),
-        ("ker d1 inside ker d0", 0 <= doc.dim_ker_d1 <= doc.dim_ker_d0),
+        ("ker d1 inside ker d0", 0 <= doc.dim_kernel_deg2 <= doc.dim_kernel),
     )
     failed = [name for name, ok in checks if not ok]
     if failed:
         raise ReportInvariantError("consistency check failed: " + ", ".join(failed))
 
 
-def build_report(pres: Presentation) -> ReportDocument:
-    ab = gradedlie.abelianization_data(pres)
-    rel = gradedlie.commutator_relations(pres, ab)
-    grl = gradedlie.graded_lie_algebra(ab, rel)
-    result = obstructions.evaluate_computed(pres, ab, rel, grl)
-    doc = ReportDocument(
-        presentation=format_presentation(pres),
-        n=result.n, s=result.s, k=result.k, q=result.q,
-        dim_ker_d0=result.dim_kernel,
-        dim_ker_d1=result.dim_kernel_deg2,
-        dim_w=result.dim_relations,
-        dim2=result.dim2,
-        grl_free=result.free_two_step,
-        surface_genus=result.surface_genus,
-        m_max=result.m_max,
-        excluded_genera=result.excluded_genera,
-        model=gradedlie.minimal_model_stage(grl),
-        verdicts=result.verdicts,
-        overall=result.overall,
-    )
+def build_report(pres: Presentation) -> ObstructionReport:
+    """The full analysis of one presentation, arithmetic self-checks passed."""
+    doc = obstructions.evaluate(pres)
     _verify(doc)
     return doc
 
 
-def oracle_mismatch(pres: Presentation, doc: ReportDocument) -> str | None:
+def oracle_mismatch(pres: Presentation, doc: ObstructionReport) -> str | None:
     """Re-derive dim2 through the nilpotent evaluator; describe any mismatch."""
     independent = nilpotent.commutator_quotient_dim(pres)
     if independent != doc.dim2:
@@ -95,7 +58,7 @@ def oracle_mismatch(pres: Presentation, doc: ReportDocument) -> str | None:
     return None
 
 
-def render_text(doc: ReportDocument, explain: bool = False) -> str:
+def render_text(doc: ObstructionReport, explain: bool = False) -> str:
     lines = []
     pres_lines = doc.presentation.rstrip("\n").split("\n")
     lines.append("presentation:")
@@ -103,11 +66,11 @@ def render_text(doc: ReportDocument, explain: bool = False) -> str:
     lines.append("invariants:")
     lines.append(f"  n = {doc.n}  s = {doc.s}  k = {doc.k}")
     lines.append(f"  q (rational abelianization rank) = {doc.q}")
-    lines.append(f"  dim ker d0 = {doc.dim_ker_d0}")
-    lines.append(f"  dim ker d1 = {doc.dim_ker_d1}")
-    lines.append(f"  dim W = {doc.dim_w}")
+    lines.append(f"  dim ker d0 = {doc.dim_kernel}")
+    lines.append(f"  dim ker d1 = {doc.dim_kernel_deg2}")
+    lines.append(f"  dim W = {doc.dim_relations}")
     lines.append(f"  dim Gamma2/Gamma3 = {doc.dim2}")
-    lines.append(f"  two-step algebra free: {'yes' if doc.grl_free else 'no'}")
+    lines.append(f"  two-step algebra free: {'yes' if doc.free_two_step else 'no'}")
     genus = "none" if doc.surface_genus is None else str(doc.surface_genus)
     lines.append(f"  surface genus match: {genus}")
     lines.append(f"  albanese m_max = {doc.m_max}")
@@ -130,7 +93,7 @@ def render_text(doc: ReportDocument, explain: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(doc: ReportDocument) -> dict:
+def to_json_dict(doc: ObstructionReport) -> dict:
     return {
         "schema": 1,
         "presentation": doc.presentation,
@@ -138,11 +101,11 @@ def to_json_dict(doc: ReportDocument) -> dict:
         "s": doc.s,
         "k": doc.k,
         "q": doc.q,
-        "dim_ker_d0": doc.dim_ker_d0,
-        "dim_ker_d1": doc.dim_ker_d1,
-        "dim_W": doc.dim_w,
+        "dim_ker_d0": doc.dim_kernel,
+        "dim_ker_d1": doc.dim_kernel_deg2,
+        "dim_W": doc.dim_relations,
         "dim_gamma2_gamma3": doc.dim2,
-        "grl_free": doc.grl_free,
+        "grl_free": doc.free_two_step,
         "surface_genus": doc.surface_genus,
         "m_max": doc.m_max,
         "excluded_genera": list(doc.excluded_genera),
@@ -162,5 +125,5 @@ def to_json_dict(doc: ReportDocument) -> dict:
     }
 
 
-def render_json(doc: ReportDocument) -> str:
+def render_json(doc: ObstructionReport) -> str:
     return json.dumps(to_json_dict(doc), indent=2, ensure_ascii=False) + "\n"

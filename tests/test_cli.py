@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,8 @@ from kahlercheck.fixtures import CORPUS
 import cases
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DEEP_NEST = "gens: x\nrels: " + "(" * 3000 + "x" + ")" * 3000 + "\n"
 
 
 def run(argv):
@@ -118,6 +123,32 @@ def test_text_and_json_report_identical_numbers(corpus_dir):
         assert f"overall: {doc['overall']}" in text
 
 
+def test_analyze_matches_corpus_goldens(corpus_dir):
+    # Regenerate with: for each corpus entry, write `analyze FILE --json` to
+    # NAME.json and `analyze FILE --explain` to NAME.explain.txt.
+    for name, _ in CORPUS:
+        for flag, suffix in (("--json", ".json"), ("--explain", ".explain.txt")):
+            code, out, err = run(["analyze", str(corpus_dir / f"{name}.pres"), flag])
+            assert code == 0 and err == ""
+            golden = (DATA / "corpus" / f"{name}{suffix}").read_bytes()
+            assert out.encode("utf-8") == golden, f"{name}{suffix}"
+
+
+def test_analyze_non_utf8_input(tmp_path):
+    path = tmp_path / "bad.pres"
+    path.write_bytes(b"gens: x\nrels: x\xff\n")
+    code, out, err = run(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert "line 2, column 8: invalid UTF-8 byte 0xff" in err
+
+
+def test_analyze_deep_nesting(tmp_path):
+    path = write(tmp_path, DEEP_NEST)
+    code, out, err = run(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert "line 2, column" in err and "nested deeper" in err
+
+
 def test_analyze_is_deterministic(corpus_dir):
     path = str(corpus_dir / "chain_plus_power.pres")
     first = run(["analyze", path, "--json", "--explain"])
@@ -142,15 +173,23 @@ def test_batch_empty_directory(tmp_path):
 
 
 def test_batch_reports_bad_file(corpus_dir):
-    write(corpus_dir, "gens: x\nrels: (x\n", name="broken.pres")
+    bad = {
+        "broken.pres": b"gens: x\nrels: (x\n",
+        "deep_nest.pres": DEEP_NEST.encode("ascii"),
+        "bad_utf8.pres": b"gens: x\nrels: x\xff\n",
+    }
+    for name, data in bad.items():
+        (corpus_dir / name).write_bytes(data)
     code, out, _ = run(["batch", str(corpus_dir)])
     assert code == 2
     lines = out.splitlines()
-    assert any(line.startswith("error: broken.pres") for line in lines)
+    for name in bad:
+        assert any(line.startswith(f"error: {name}: line ") for line in lines), name
     # good rows still present and sorted
     names = [line.split()[0] for line in lines[1:] if not line.startswith("error")]
     assert names == sorted(names)
     assert "surface_g2.pres" in names
+    assert len(names) == len(CORPUS)
 
 
 def test_batch_json(corpus_dir):
@@ -194,3 +233,14 @@ def test_fixtures_unwritable_target(tmp_path):
     blocker.write_text("a file, not a directory")
     code, _, err = run(["fixtures", str(blocker)])
     assert code == 1 and err != ""
+
+
+# --- scripts -----------------------------------------------------------------------
+
+def test_search_script_runs_outside_repository(tmp_path):
+    script = ROOT / "scripts" / "search_combined_exclusions.py"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(script), "20", "1"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "combined-route exclusions in 20 random presentations" in proc.stdout

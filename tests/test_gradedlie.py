@@ -24,7 +24,7 @@ from strategies import presentations
 
 def pipeline(pres):
     ab = abelianization_data(pres)
-    rel = commutator_relations(pres, ab)
+    rel = commutator_relations(ab)
     return ab, rel, graded_lie_algebra(ab, rel)
 
 

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kahlercheck.presentation import (
+    MAX_NESTING,
     ParseError,
     Presentation,
     Word,
@@ -164,6 +165,16 @@ def test_parse_duplicate_generator():
     with pytest.raises(ParseError) as excinfo:
         parse_presentation("gens: x y x\nrels:")
     assert excinfo.value.line == 1 and excinfo.value.column == 11
+
+
+def test_parse_nesting_limit():
+    def nest(depth):
+        return "gens: x\nrels: " + "(" * depth + "x" + ")" * depth
+    assert parse_presentation(nest(MAX_NESTING)).relators[0].letters == ((0, 1),)
+    with pytest.raises(ParseError, match="nested deeper") as excinfo:
+        parse_presentation(nest(MAX_NESTING + 1))
+    assert excinfo.value.line == 2
+    assert excinfo.value.column == len("rels: ") + MAX_NESTING + 1
 
 
 def test_parse_relators_without_generators():
