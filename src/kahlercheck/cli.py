@@ -20,11 +20,15 @@ from .obstructions import ObstructionReport
 from .presentation import ParseError, parse_presentation
 
 
+class UnreadableInput(Exception):
+    """An input file that could not be read; it has no location."""
+
+
 def _load(path: Path):
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}", 0, 0) from exc
+        raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -39,7 +43,7 @@ def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
                 out=sys.stdout, err=sys.stderr) -> int:
     try:
         pres = _load(path)
-    except ParseError as exc:
+    except (ParseError, UnreadableInput) as exc:
         print(f"{path}: {exc}", file=err)
         return 2
     doc = report.build_report(pres)
@@ -63,7 +67,7 @@ def _batch_rows(directory: Path) -> tuple[list[tuple[str, ObstructionReport]],
                        if p.is_file() and not p.name.startswith(".")):
         try:
             rows.append((path.name, report.build_report(_load(path))))
-        except ParseError as exc:
+        except (ParseError, UnreadableInput) as exc:
             errors.append((path.name, str(exc)))
     return rows, errors
 

@@ -99,35 +99,39 @@ def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
 
     For a combination lambda, the quadratic coefficient matrices of the
     relator expansions are combined, antisymmetrized, and pushed forward
-    along the abelianization coordinates: B = C (Q - Q^T) C^T.
+    along the abelianization coordinates: B = C (Q - Q^T) C^T.  This is
+    computed sparsely: each relator's wedge image q_ij - q_ji (i < j) is
+    taken once, the images are combined in wedge coordinates, and each
+    nonzero c on (i, j) adds c * C[a][i] * C[b][j] to the pair (a, b) of
+    the quotient, with the sign flipped when a > b.
     """
-    n, q = ab.n, ab.q
     coords = ab.quotient.coords                      # q x n
-    quads = [x.quadratic for x in ab.series]
-    pairs_q = wedge_pairs(q)
-    columns: list[tuple[Fraction, ...]] = []
+    images = [_wedge_image(x.quadratic) for x in ab.series]
+    support = [
+        [(a, x) for a, x in enumerate(coords.column(i)) if x]
+        for i in range(ab.n)
+    ]
+    pairs_q = wedge_pairs(ab.q)
+    columns: list[dict[tuple[int, int], Fraction]] = []
     for col in range(ab.kernel.cols):
-        lam = ab.kernel.column(col)
-        combined = [
-            [
-                sum((lam[r] * quads[r][i][j] for r in range(len(quads))), Fraction(0))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        anti = RationalMatrix.from_rows(
-            [
-                [combined[i][j] - combined[j][i] for j in range(n)]
-                for i in range(n)
-            ],
-            n,
-        )
-        pushed = coords @ anti @ coords.transpose()  # q x q, antisymmetric
-        columns.append(tuple(pushed.entries[i][j] for i, j in pairs_q))
-    matrix = RationalMatrix(
-        tuple(
-            tuple(col[p] for col in columns) for p in range(len(pairs_q))
-        ),
+        combined: dict[tuple[int, int], Fraction] = {}
+        for lam, image in zip(ab.kernel.column(col), images):
+            if lam:
+                for pair, c in image.items():
+                    combined[pair] = combined.get(pair, 0) + lam * c
+        pushed: dict[tuple[int, int], Fraction] = {}
+        for (i, j), c in combined.items():
+            if not c:
+                continue
+            for a, x in support[i]:
+                for b, y in support[j]:
+                    if a < b:
+                        pushed[a, b] = pushed.get((a, b), 0) + c * x * y
+                    elif a > b:
+                        pushed[b, a] = pushed.get((b, a), 0) - c * x * y
+        columns.append(pushed)
+    matrix = RationalMatrix.from_rows(
+        [[col.get(pair, 0) for col in columns] for pair in pairs_q],
         len(columns),
     )
     red = rref(matrix.transpose())
@@ -135,6 +139,20 @@ def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
     relation_basis = RationalMatrix(basis_rows, len(pairs_q))
     return CommutatorRelations(matrix, relation_basis, red.rank,
                                matrix.cols - red.rank)
+
+
+def _wedge_image(
+        quadratic: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], int]:
+    """Nonzero antisymmetrized coefficients q_ij - q_ji, keyed by (i, j), i < j."""
+    n = len(quadratic)
+    image = {}
+    for i in range(n):
+        row = quadratic[i]
+        for j in range(i + 1, n):
+            c = row[j] - quadratic[j][i]
+            if c:
+                image[i, j] = c
+    return image
 
 
 @dataclass(frozen=True)

@@ -158,11 +158,6 @@ class QuotientBasis:
     def dim(self) -> int:
         return self.ambient_dim - len(self.pivots)
 
-    @property
-    def basis_columns(self) -> tuple[int, ...]:
-        pivot_set = set(self.pivots)
-        return tuple(c for c in range(self.ambient_dim) if c not in pivot_set)
-
     def coordinates(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         return self.coords.apply(vector)
 

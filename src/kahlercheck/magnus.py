@@ -6,6 +6,11 @@ stored only up to quadratic terms: a linear coefficient vector and an
 n x n matrix whose (i, j) entry is the coefficient of X_i X_j.
 Truncating at degree 2 is enough for everything computed here, since
 only abelianization data and the first commutator layer are read off.
+
+``expand`` works over ``int``: the coefficients of a word are integers,
+and it accumulates them by prefix sums in one pass over the letters.
+``truncated_mul`` and ``generator_power`` are the reference algebra over
+``Fraction`` that the expansion is tested against.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ class TruncatedSeries2:
     """Linear and quadratic coefficients of a constant-free series."""
 
     n: int
-    linear: tuple[Fraction, ...]
-    quadratic: tuple[tuple[Fraction, ...], ...]
+    linear: tuple[Rat, ...]
+    quadratic: tuple[tuple[Rat, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.linear) != self.n or len(self.quadratic) != self.n or any(
@@ -40,7 +45,7 @@ class TruncatedSeries2:
     def is_zero(self) -> bool:
         return not any(self.linear) and not any(any(row) for row in self.quadratic)
 
-    def antisymmetrized(self) -> tuple[Fraction, ...]:
+    def antisymmetrized(self) -> tuple[Rat, ...]:
         """Coefficients q_ij - q_ji on the pairs (i, j), i < j, in lex order."""
         q = self.quadratic
         return tuple(
@@ -89,14 +94,28 @@ def generator_power(index: int, m: int, n: int) -> TruncatedSeries2:
 
 
 def expand(word: Word, n: int) -> TruncatedSeries2:
-    """Image of word - 1, truncated at degree 2.
+    """Image of word - 1, truncated at degree 2, with integer coefficients.
 
-    Computed by left-to-right truncated multiplication of the generator
-    power factors.
+    Multiplying the series 1 + L + Q of a prefix by the factor
+    (1 + X_g)^m = 1 + m X_g + m(m-1)/2 X_g^2 + ... adds L[i]*m to
+    Q[i][g] for every i, then m(m-1)/2 to Q[g][g], then m to L[g].  Only
+    the support of L is visited, so each letter costs at most n steps.
     """
     if word.max_generator() >= n:
         raise ValueError("word uses a generator index outside the ambient rank")
-    acc = TruncatedSeries2.zero(n)
-    for index, exponent in word.letters:
-        acc = truncated_mul(acc, generator_power(index, exponent, n))
-    return acc
+    linear: dict[int, int] = {}   # support of L
+    quadratic = [[0] * n for _ in range(n)]
+    for g, m in word.letters:
+        for i, li in linear.items():
+            quadratic[i][g] += li * m
+        quadratic[g][g] += m * (m - 1) // 2
+        lg = linear.get(g, 0) + m
+        if lg:
+            linear[g] = lg
+        else:
+            del linear[g]
+    return TruncatedSeries2(
+        n,
+        tuple(linear.get(i, 0) for i in range(n)),
+        tuple(tuple(row) for row in quadratic),
+    )

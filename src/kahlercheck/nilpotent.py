@@ -8,7 +8,12 @@ commutator part w in the wedge square of Q^n.  The closed product law
 is the degree-2 Campbell-Hausdorff formula; powers are simply
 (m v, m w), for any integer m.  This gives a second, independently
 coded route to the degree-2 invariants computed by the series pipeline,
-used for cross-checking.
+used for cross-checking; it shares no code with the series expansion.
+
+``evaluate`` applies the same law to integer pairs (v, 2w): a word's
+image has an integer v, and 2w stays integral because each generator
+power factor m e_g adds v ^ m e_g to it.  The result is converted to
+Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -81,10 +86,26 @@ def evaluate(word: Word, n: int) -> NilpotentElement:
     """Left-to-right product of the generator images raised to the exponents."""
     if word.max_generator() >= n:
         raise ValueError("word uses a generator index outside the ambient rank")
-    acc = identity(n)
-    for index, exponent in word.letters:
-        acc = acc * generator(index, n).power(exponent)
-    return acc
+    # Index of the wedge pair (i, j), i < j, in wedge_pairs(n) order.
+    first = [i * n - i * (i + 1) // 2 - i - 1 for i in range(n)]
+    v: dict[int, int] = {}          # support of the abelian part
+    w2 = [0] * comb(n, 2)           # twice the commutator part
+    for g, m in word.letters:
+        for i, vi in v.items():
+            if i < g:
+                w2[first[i] + g] += vi * m
+            elif i > g:
+                w2[first[g] + i] -= vi * m
+        vg = v.get(g, 0) + m
+        if vg:
+            v[g] = vg
+        else:
+            del v[g]
+    return NilpotentElement(
+        n,
+        tuple(Fraction(v.get(i, 0)) for i in range(n)),
+        tuple(Fraction(x, 2) for x in w2),
+    )
 
 
 def commutator_quotient_dim(pres: Presentation) -> int:

@@ -14,6 +14,10 @@ power ``^k``.  An atom is a generator name, a parenthesized word
 ``( w )``, or a commutator ``( u , v )`` which expands to
 ``u v u^-1 v^-1``.  ``(w)^0`` and ``()`` denote the empty word.
 ``#`` starts a comment running to the end of the line.
+
+A relator may expand to at most ``MAX_LETTERS`` letters (maximal powers
+of one generator) after free reduction; every power, commutator and
+product is checked against that bound before it is built.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # recurses three frames per level, so this keeps far below Python's
 # default recursion limit.
 MAX_NESTING = 100
+
+# Longest accepted relator, in letters of its normalized word.  Nested
+# commutators double the length per level and powers multiply it, so
+# the bound keeps parsing and expansion within time and memory.
+MAX_LETTERS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -91,6 +100,37 @@ class Word:
         m = abs(m)
         half = base ** (m // 2)
         return half * half * base if m % 2 else half * half
+
+    def product_length(self, other: "Word") -> int:
+        """Letters in self * other, computed without building it."""
+        a, b = self.letters, other.letters
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            if a[i - 1][1] + b[j][1]:
+                return i + len(b) - j - 1   # the two letters merge into one
+            i -= 1
+            j += 1
+        return i + len(b) - j
+
+    def power_length(self, m: int) -> int:
+        """Letters in self ** m, computed without building it.
+
+        Write self = u c u^-1 with c cyclically reduced.  Then
+        self ** m = u c^m u^-1, and the copies of c only merge at their
+        junctions when c starts and ends on the same generator.
+        """
+        a = self.letters
+        if not m or not a:
+            return 0
+        k, last = 0, len(a) - 1
+        while a[k][0] == a[last - k][0] and a[k][1] == -a[last - k][1]:
+            k += 1
+        core = len(a) - 2 * k
+        if core == 1:
+            return 2 * k + 1
+        m = abs(m)
+        merges = m - 1 if a[k][0] == a[last - k][0] else 0
+        return 2 * k + m * core - merges
 
     def conjugated_by(self, g: "Word") -> "Word":
         """Return g * self * g^-1."""
@@ -247,12 +287,12 @@ class _WordParser:
             tok = self._peek()
             if tok is None or tok.kind in closers:
                 return word
-            word = word * self.parse_factor()
+            word = self._product((word, self.parse_factor()), tok)
 
     def parse_factor(self) -> Word:
         atom = self.parse_atom()
-        tok = self._peek()
-        if tok is not None and tok.kind == "^":
+        caret = self._peek()
+        if caret is not None and caret.kind == "^":
             self._next()
             sign = 1
             tok = self._peek()
@@ -260,7 +300,9 @@ class _WordParser:
                 self._next()
                 sign = -1 if tok.text == "-" else 1
             digits = self._next("int")
-            atom = atom ** (sign * int(digits.text))
+            m = sign * int(digits.text)
+            _check_length(atom.power_length(m), caret)
+            atom = atom ** m
         return atom
 
     def parse_atom(self) -> Word:
@@ -280,13 +322,29 @@ class _WordParser:
             if nxt.kind == ",":
                 second = self.parse_word(closers=(")",))
                 self._next(")")
-                first = first * second * first.inverse() * second.inverse()
+                first = self._product(
+                    (first, second, first.inverse(), second.inverse()), tok)
             elif nxt.kind != ")":
                 raise ParseError(f"expected ',' or ')', found {nxt.text!r}",
                                  nxt.line, nxt.col)
             self.depth -= 1
             return first
         raise ParseError(f"expected a generator or '(', found {tok.text!r}", tok.line, tok.col)
+
+    @staticmethod
+    def _product(factors: tuple[Word, ...], tok: _Token) -> Word:
+        """Product of the factors, each step checked against MAX_LETTERS."""
+        word = factors[0]
+        for factor in factors[1:]:
+            _check_length(word.product_length(factor), tok)
+            word = word * factor
+        return word
+
+
+def _check_length(letters: int, tok: _Token) -> None:
+    if letters > MAX_LETTERS:
+        raise ParseError(f"relator longer than {MAX_LETTERS} letters",
+                         tok.line, tok.col)
 
 
 def _parse_gens_line(line: str, line_no: int) -> tuple[str, ...]:

@@ -41,3 +41,33 @@ def jointspan_dim2(pres):
         rows.append(tuple(combined[i][j] - combined[j][i] for i, j in pairs))
     span = RationalMatrix.from_rows(rows, len(pairs))
     return comb(n, 2) - rank(span)
+
+
+def dense_commutator_matrix(ab):
+    """The degree-2 relation matrix by the dense formula B = C (Q - Q^T) C^T.
+
+    One column per kernel combination lambda: the relators' quadratic
+    coefficient matrices are combined with lambda, antisymmetrized and
+    pushed forward by two dense products with the quotient coordinates
+    C, and B is read off on the wedge pairs.
+    """
+    n, q = ab.n, ab.q
+    coords = ab.quotient.coords
+    columns = []
+    for c in range(ab.kernel.cols):
+        lam = ab.kernel.column(c)
+        combined = [
+            [sum((lam[r] * ab.series[r].quadratic[i][j] for r in range(ab.s)),
+                 Fraction(0))
+             for j in range(n)]
+            for i in range(n)
+        ]
+        anti = RationalMatrix.from_rows(
+            [[combined[i][j] - combined[j][i] for j in range(n)] for i in range(n)],
+            n,
+        )
+        pushed = coords @ anti @ coords.transpose()
+        columns.append([pushed.entries[i][j] for i, j in wedge_pairs(q)])
+    return RationalMatrix.from_rows(
+        [[col[p] for col in columns] for p in range(comb(q, 2))], len(columns)
+    )

@@ -16,6 +16,9 @@ import cases
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
 DEEP_NEST = "gens: x\nrels: " + "(" * 3000 + "x" + ")" * 3000 + "\n"
+# 30 nested commutators ((x,y),y)...: 2^31 letters if built.
+LONG_NEST = "gens: x y\nrels: " + "(" * 30 + "x,y)" + ",y)" * 29 + "\n"
+HUGE_POWER = "gens: x y\nrels: (x y)^10000000\n"
 
 
 def run(argv):
@@ -72,9 +75,11 @@ def test_analyze_malformed_file(tmp_path):
 
 
 def test_analyze_missing_file(tmp_path):
-    code, _, err = run(["analyze", str(tmp_path / "absent.pres")])
-    assert code == 2
-    assert "cannot read" in err
+    for path in (tmp_path / "absent.pres", tmp_path):   # missing, a directory
+        code, out, err = run(["analyze", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"{path}: cannot read {path}: ")
+        assert "line 0" not in err
 
 
 def test_analyze_oracle_agrees(corpus_dir):
@@ -149,6 +154,22 @@ def test_analyze_deep_nesting(tmp_path):
     assert "line 2, column" in err and "nested deeper" in err
 
 
+def test_analyze_letter_limit(tmp_path):
+    # the 12th '(' opens the commutator past the limit; the power at '^'
+    for text, location in ((LONG_NEST, "line 2, column 18: "),
+                           (HUGE_POWER, "line 2, column 12: ")):
+        code, out, err = run(["analyze", str(write(tmp_path, text))])
+        assert code == 2 and out == ""
+        assert f"{location}relator longer than 1000000 letters" in err
+
+
+def test_analyze_long_power_relator(tmp_path):
+    path = write(tmp_path, "gens: x y\nrels: (x y)^200000\n")
+    code, out, err = run(["analyze", str(path), "--oracle"])
+    assert code == 0 and err == ""
+    assert "n = 2  s = 1  k = 1" in out
+
+
 def test_analyze_is_deterministic(corpus_dir):
     path = str(corpus_dir / "chain_plus_power.pres")
     first = run(["analyze", path, "--json", "--explain"])
@@ -177,6 +198,8 @@ def test_batch_reports_bad_file(corpus_dir):
         "broken.pres": b"gens: x\nrels: (x\n",
         "deep_nest.pres": DEEP_NEST.encode("ascii"),
         "bad_utf8.pres": b"gens: x\nrels: x\xff\n",
+        "long_nest.pres": LONG_NEST.encode("ascii"),
+        "huge_power.pres": HUGE_POWER.encode("ascii"),
     }
     for name, data in bad.items():
         (corpus_dir / name).write_bytes(data)
@@ -190,6 +213,22 @@ def test_batch_reports_bad_file(corpus_dir):
     assert names == sorted(names)
     assert "surface_g2.pres" in names
     assert len(names) == len(CORPUS)
+
+
+def test_batch_reports_unreadable_file(corpus_dir, monkeypatch):
+    target = corpus_dir / "surface_g2.pres"
+    read_bytes = Path.read_bytes
+
+    def failing(self):
+        if self == target:
+            raise PermissionError(13, "Permission denied")
+        return read_bytes(self)
+    monkeypatch.setattr(Path, "read_bytes", failing)
+    code, out, _ = run(["batch", str(corpus_dir)])
+    assert code == 2
+    assert (f"error: surface_g2.pres: cannot read {target}: Permission denied"
+            in out.splitlines())
+    assert "line 0" not in out
 
 
 def test_batch_json(corpus_dir):

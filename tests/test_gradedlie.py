@@ -1,7 +1,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kahlercheck.gradedlie import (
@@ -18,7 +18,7 @@ from kahlercheck.linalg import RationalMatrix, rank
 from kahlercheck.presentation import Presentation, Word, parse_presentation
 
 import cases
-from oracles import jointspan_dim2
+from oracles import dense_commutator_matrix, jointspan_dim2
 from strategies import presentations
 
 
@@ -224,6 +224,16 @@ def test_rank_identity(pres):
 def test_jointspan_equivalence(pres):
     _, rel, _ = pipeline(pres)
     assert rel.dim2 == jointspan_dim2(pres)
+
+
+@given(presentations())
+@example(cases.CHAIN_PLUS_POWER)   # quotient coordinates that are not a projection
+@example(cases.chain_link_group(4))
+@example(cases.surface_group(2))
+@example(cases.BRACKET_DEPTH3)
+def test_commutator_matrix_matches_dense_reference(pres):
+    ab = abelianization_data(pres)
+    assert commutator_relations(ab).matrix == dense_commutator_matrix(ab)
 
 
 @settings(max_examples=60)

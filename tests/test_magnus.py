@@ -120,6 +120,18 @@ def test_expand_checks_rank():
         expand(Word(((2, 1),)), 2)
 
 
+@given(words_with_rank())
+def test_expand_is_integer_fold_of_generator_powers(data):
+    n, word = data
+    exp = expand(word, n)
+    coefficients = exp.linear + tuple(x for row in exp.quadratic for x in row)
+    assert all(type(x) is int for x in coefficients)
+    acc = TruncatedSeries2.zero(n)
+    for g, e in word.letters:
+        acc = truncated_mul(acc, generator_power(g, e, n))
+    assert exp == acc
+
+
 @given(words_with_rank(), st.data())
 def test_expand_is_multiplicative(data, extra):
     n, u = data

@@ -81,6 +81,17 @@ def test_rank_mismatch_rejected():
         evaluate(Word(((3, 1),)), 2)
 
 
+@given(words_with_rank())
+def test_evaluate_matches_literal_product(data):
+    n, word = data
+    acc = identity(n)
+    for g, m in word.letters:
+        acc = acc * generator(g, n).power(m)
+    value = evaluate(word, n)
+    assert value == acc
+    assert all(type(x) is Fraction for x in value.abelian + value.commutator)
+
+
 # --- cross-evaluator identity -------------------------------------------------------
 
 @given(words_with_rank())

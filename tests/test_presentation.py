@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kahlercheck import presentation
 from kahlercheck.presentation import (
     MAX_NESTING,
     ParseError,
@@ -175,6 +176,39 @@ def test_parse_nesting_limit():
         parse_presentation(nest(MAX_NESTING + 1))
     assert excinfo.value.line == 2
     assert excinfo.value.column == len("rels: ") + MAX_NESTING + 1
+
+
+@given(words_with_rank(), st.data())
+def test_product_and_power_lengths_match_built_words(data, extra):
+    n, u = data
+    v = Word(tuple(extra.draw(raw_letters(n))))
+    assert u.product_length(v) == len((u * v).letters)
+    conj = v.inverse() * u * v   # exercises the split u c u^-1
+    m = extra.draw(st.integers(-6, 6))
+    assert u.power_length(m) == len((u ** m).letters)
+    assert conj.power_length(m) == len((conj ** m).letters)
+
+
+def test_power_length_of_huge_exponent():
+    assert Word.generator(0).power_length(10 ** 50) == 1
+    xy = Word(((0, 1), (1, 1)))
+    assert xy.power_length(-(10 ** 50)) == 2 * 10 ** 50
+    # x y x merges at each junction of its powers: x y x^2 y x
+    assert Word(((0, 1), (1, 1), (0, 1))).power_length(2) == 5
+
+
+def test_parse_letter_limit(monkeypatch):
+    monkeypatch.setattr(presentation, "MAX_LETTERS", 10)
+
+    def rel(text):
+        return "gens: x y\nrels: " + text
+    assert len(parse_presentation(rel("(x y)^5")).relators[0].letters) == 10
+    assert len(parse_presentation(rel("(x y)^5 y^-1")).relators[0].letters) == 9
+    # the power, the product and the commutator are each located
+    for text, column in (("(x y)^6", 12), ("(x y)^5 x", 15), ("((x y)^3, x)", 7)):
+        with pytest.raises(ParseError, match="longer than 10 letters") as excinfo:
+            parse_presentation(rel(text))
+        assert (excinfo.value.line, excinfo.value.column) == (2, column), text
 
 
 def test_parse_relators_without_generators():
