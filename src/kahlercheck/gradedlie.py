@@ -29,16 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
 
 from . import magnus
 from .linalg import (
     QuotientBasis,
     RationalMatrix,
+    Rref,
+    SparseRow,
     alternating_rank,
     quotient_basis,
     nullspace,
     rref,
+    rref_quotient,
     wedge_pairs,
 )
 from .presentation import Presentation
@@ -83,10 +85,23 @@ def abelianization_data(pres: Presentation) -> AbelianizationData:
 class CommutatorRelations:
     """Degree-2 layer: images of the kernel combinations in the wedge square."""
 
-    matrix: RationalMatrix          # C(q,2) x dim_kernel, one column per combination
-    relation_basis: RationalMatrix  # dim_relations x C(q,2), row basis of W
-    dim_relations: int              # dim W
-    dim_kernel: int                 # combinations mapping to zero
+    matrix: RationalMatrix   # C(q,2) x dim_kernel, one column per combination
+    reduced: Rref            # RREF of matrix^T; its nonzero rows span W
+
+    @property
+    def relation_basis(self) -> RationalMatrix:
+        """dim_relations x C(q,2), the RREF row basis of W."""
+        return RationalMatrix(self.reduced.matrix.entries[: self.dim_relations],
+                              self.matrix.rows)
+
+    @property
+    def dim_relations(self) -> int:
+        return self.reduced.rank
+
+    @property
+    def dim_kernel(self) -> int:
+        """Combinations mapping to zero."""
+        return self.matrix.cols - self.reduced.rank
 
     @property
     def dim2(self) -> int:
@@ -105,12 +120,11 @@ def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
     nonzero c on (i, j) adds c * C[a][i] * C[b][j] to the pair (a, b) of
     the quotient, with the sign flipped when a > b.
     """
-    coords = ab.quotient.coords                      # q x n
     images = [_wedge_image(x.quadratic) for x in ab.series]
-    support = [
-        [(a, x) for a, x in enumerate(coords.column(i)) if x]
-        for i in range(ab.n)
-    ]
+    support: list[list[tuple[int, Fraction]]] = [[] for _ in range(ab.n)]
+    for a, row in enumerate(ab.quotient.rows):    # column i of the q x n coordinates
+        for i, x in row:
+            support[i].append((a, x))
     pairs_q = wedge_pairs(ab.q)
     columns: list[dict[tuple[int, int], Fraction]] = []
     for col in range(ab.kernel.cols):
@@ -134,11 +148,7 @@ def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
         [[col.get(pair, 0) for col in columns] for pair in pairs_q],
         len(columns),
     )
-    red = rref(matrix.transpose())
-    basis_rows = red.matrix.entries[: red.rank]
-    relation_basis = RationalMatrix(basis_rows, len(pairs_q))
-    return CommutatorRelations(matrix, relation_basis, red.rank,
-                               matrix.cols - red.rank)
+    return CommutatorRelations(matrix, rref(matrix.transpose()))
 
 
 def _wedge_image(
@@ -159,23 +169,26 @@ def _wedge_image(
 class GradedLie2:
     """The two-step graded algebra: dimensions, bracket, relation space.
 
-    ``bracket`` has one row per wedge pair of degree-1 basis classes,
-    giving the coordinates of their bracket in the chosen basis of the
-    degree-2 piece.
+    The degree-2 piece is the wedge square modulo the relation space,
+    ``quotient``.  The bracket of the degree-1 basis classes on wedge
+    pair p has coordinate x in degree-2 basis class f exactly when row f
+    of ``quotient.rows`` holds (p, x); so the rows are the columns of
+    the C(dim1,2) x dim2 bracket matrix, kept sparse.
     """
 
     dim1: int
-    dim2: int
-    bracket: RationalMatrix      # C(dim1,2) x dim2
+    quotient: QuotientBasis      # C(dim1,2)-dimensional ambient modulo W
     relations: RationalMatrix    # dim_W x C(dim1,2)
+
+    @property
+    def dim2(self) -> int:
+        return self.quotient.dim
 
 
 def graded_lie_algebra(ab: AbelianizationData,
                        rel: CommutatorRelations) -> GradedLie2:
-    q = ab.q
-    wedge_dim = comb(q, 2)
-    qb = quotient_basis(rel.relation_basis, wedge_dim)
-    return GradedLie2(q, qb.dim, qb.coords.transpose(), rel.relation_basis)
+    """The algebra read off the relation space's RREF, without eliminating again."""
+    return GradedLie2(ab.q, rref_quotient(rel.reduced), rel.relation_basis)
 
 
 def is_free_two_step(rel: CommutatorRelations) -> bool:
@@ -234,17 +247,20 @@ def surface_genus(grl: GradedLie2) -> int | None:
 class ModelStage:
     """Dual cochain stage: generators in degrees one and two.
 
-    ``differential`` has one row per degree-two generator, listing its
-    image in the wedge square of the degree-one space.  The row space is
-    exactly the annihilator of the relation space under the coordinate
-    pairing, and dim_v2 equals the kernel dimension of the cup product
-    on degree-one cohomology for any space with this fundamental group.
+    ``differential`` has one sparse row per degree-two generator,
+    listing its image in the wedge square of the degree-one space.  The
+    row space is exactly the annihilator of the relation space under the
+    coordinate pairing, and dim_v2 equals the kernel dimension of the cup
+    product on degree-one cohomology for any space with this fundamental
+    group.
     """
 
     dim_v1: int
     dim_v2: int
-    differential: RationalMatrix   # dim_v2 x C(dim_v1,2)
+    differential: tuple[SparseRow, ...]   # dim_v2 rows of width C(dim_v1,2)
 
 
 def minimal_model_stage(grl: GradedLie2) -> ModelStage:
-    return ModelStage(grl.dim1, grl.dim2, grl.bracket.transpose())
+    """The dual stage: its differential is the bracket matrix transposed,
+    which is the degree-2 quotient's coordinate rows as they are."""
+    return ModelStage(grl.dim1, grl.dim2, grl.quotient.rows)

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: dense matrices, sparse quotient rows.
 
 Everything is built on fractions.Fraction, so entries stay in lowest
 terms with positive denominators and every rank is exact.  Pivoting is
@@ -80,14 +80,6 @@ class RationalMatrix:
             )
         return RationalMatrix(tuple(out), other.cols)
 
-    def apply(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(
-            sum((row[j] * Fraction(vector[j]) for j in range(self.cols)), Fraction(0))
-            for row in self.entries
-        )
-
     def stacked(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
             raise ValueError("column counts differ")
@@ -140,43 +132,69 @@ def nullspace(matrix: RationalMatrix) -> RationalMatrix:
     return quotient_basis(matrix, matrix.cols).coords.transpose()
 
 
+# A sparse row: its nonzero entries as (column, value), in column order.
+SparseRow = tuple[tuple[int, Fraction], ...]
+
+
 @dataclass(frozen=True)
 class QuotientBasis:
     """A basis of an ambient space modulo a relation row space.
 
     The chosen quotient basis is the classes of the ambient basis
-    vectors at the non-pivot columns.  ``coords`` is a (dim x ambient)
-    matrix sending an ambient vector to its coordinates in that basis;
-    it kills the relation rows exactly.
+    vectors at the non-pivot columns.  ``rows`` holds, per basis class,
+    the sparse row of the (dim x ambient) coordinate matrix that sends
+    an ambient vector to its coordinates in that basis; the coordinates
+    kill the relation rows exactly.  Read off an RREF with pivots P, the
+    row of free column f is 1 at f and -rref[i][f] at each pivot P[i],
+    so it has at most rank + 1 nonzeros.
     """
 
     ambient_dim: int
     pivots: tuple[int, ...]
-    coords: RationalMatrix
+    rows: tuple[SparseRow, ...]
 
     @property
     def dim(self) -> int:
         return self.ambient_dim - len(self.pivots)
 
+    @property
+    def coords(self) -> RationalMatrix:
+        """The coordinate matrix, dense."""
+        dense = []
+        for row in self.rows:
+            entries = [Fraction(0)] * self.ambient_dim
+            for c, x in row:
+                entries[c] = x
+            dense.append(tuple(entries))
+        return RationalMatrix(tuple(dense), self.ambient_dim)
+
     def coordinates(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        return self.coords.apply(vector)
+        if len(vector) != self.ambient_dim:
+            raise ValueError("vector length does not match the ambient dimension")
+        return tuple(sum((x * vector[c] for c, x in row), Fraction(0))
+                     for row in self.rows)
 
 
 def quotient_basis(relations: RationalMatrix, ambient_dim: int) -> QuotientBasis:
     if relations.cols != ambient_dim:
         raise ValueError("relation rows must live in the ambient space")
-    red = rref(relations)
+    return rref_quotient(rref(relations))
+
+
+def rref_quotient(red: Rref) -> QuotientBasis:
+    """The quotient basis modulo the row space of an already reduced matrix."""
+    ambient_dim = red.matrix.cols
+    reduced = red.matrix.entries
     pivot_set = set(red.pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
-    coord_rows = []
-    for f in free:
-        row = [Fraction(0)] * ambient_dim
-        row[f] = Fraction(1)
-        for i, p in enumerate(red.pivots):
-            row[p] = -red.matrix.entries[i][f]
-        coord_rows.append(tuple(row))
-    return QuotientBasis(ambient_dim, red.pivots,
-                         RationalMatrix(tuple(coord_rows), ambient_dim))
+    rows = []
+    for f in range(ambient_dim):
+        if f in pivot_set:
+            continue
+        row = [(p, -reduced[i][f]) for i, p in enumerate(red.pivots) if reduced[i][f]]
+        row.append((f, Fraction(1)))
+        row.sort()
+        rows.append(tuple(row))
+    return QuotientBasis(ambient_dim, red.pivots, tuple(rows))
 
 
 def wedge_pairs(q: int) -> tuple[tuple[int, int], ...]:

@@ -51,6 +51,17 @@ class ParseError(ValueError):
 def _normalize(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Merge adjacent letters on the same generator, dropping zero exponents."""
     out: list[tuple[int, int]] = []
+    _extend_reduced(out, letters)
+    return tuple(out)
+
+
+def _extend_reduced(out: list[tuple[int, int]],
+                    letters: Iterable[tuple[int, int]]) -> None:
+    """Append letters to the normalized word ``out``, keeping it normalized.
+
+    Each appended letter merges with, or cancels, the last letter of
+    ``out``, so appending is linear in the letters appended and removed.
+    """
     for gen, exp in letters:
         if exp == 0:
             continue
@@ -62,7 +73,6 @@ def _normalize(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...
                 out[-1] = (out[-1][0], merged)
         else:
             out.append((gen, exp))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -94,12 +104,28 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, m: int) -> "Word":
-        if m == 0:
+        """self ** m, built as u c^m u^-1 (see ``power_length``)."""
+        a = self.letters
+        if not m or not a:
             return Word()
-        base = self if m > 0 else self.inverse()
-        m = abs(m)
-        half = base ** (m // 2)
-        return half * half * base if m % 2 else half * half
+        k = self._conjugator_length()
+        core = Word(a[k:len(a) - k])
+        if m < 0:
+            core, m = core.inverse(), -m
+        if len(core.letters) == 1:
+            (gen, exp), = core.letters
+            powered = ((gen, exp * m),)
+        else:
+            powered = core.letters * m
+        return Word(a[:k] + powered + a[len(a) - k:])
+
+    def _conjugator_length(self) -> int:
+        """Length k of u in self = u c u^-1 with c cyclically reduced."""
+        a = self.letters
+        k, last = 0, len(a) - 1
+        while a[k][0] == a[last - k][0] and a[k][1] == -a[last - k][1]:
+            k += 1
+        return k
 
     def product_length(self, other: "Word") -> int:
         """Letters in self * other, computed without building it."""
@@ -122,14 +148,12 @@ class Word:
         a = self.letters
         if not m or not a:
             return 0
-        k, last = 0, len(a) - 1
-        while a[k][0] == a[last - k][0] and a[k][1] == -a[last - k][1]:
-            k += 1
+        k = self._conjugator_length()
         core = len(a) - 2 * k
         if core == 1:
             return 2 * k + 1
         m = abs(m)
-        merges = m - 1 if a[k][0] == a[last - k][0] else 0
+        merges = m - 1 if a[k][0] == a[len(a) - 1 - k][0] else 0
         return 2 * k + m * core - merges
 
     def conjugated_by(self, g: "Word") -> "Word":
@@ -282,12 +306,17 @@ class _WordParser:
         return word
 
     def parse_word(self, closers: tuple[str, ...]) -> Word:
-        word = Word()
+        """The product of the factors up to a closer, reduced as it is read.
+
+        The length limit is checked after each factor, at its first token.
+        """
+        letters: list[tuple[int, int]] = []
         while True:
             tok = self._peek()
             if tok is None or tok.kind in closers:
-                return word
-            word = self._product((word, self.parse_factor()), tok)
+                return Word(tuple(letters))
+            _extend_reduced(letters, self.parse_factor().letters)
+            _check_length(len(letters), tok)
 
     def parse_factor(self) -> Word:
         atom = self.parse_atom()
@@ -300,7 +329,11 @@ class _WordParser:
                 self._next()
                 sign = -1 if tok.text == "-" else 1
             digits = self._next("int")
-            m = sign * int(digits.text)
+            try:
+                m = sign * int(digits.text)
+            except ValueError:   # longer than the interpreter reads as an int
+                raise ParseError(f"exponent of {len(digits.text)} digits is too long",
+                                 digits.line, digits.col) from None
             _check_length(atom.power_length(m), caret)
             atom = atom ** m
         return atom

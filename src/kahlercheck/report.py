@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 from math import comb
+from typing import Iterator
 
 from . import nilpotent, obstructions
+from .gradedlie import ModelStage
 from .obstructions import ObstructionReport
 from .presentation import Presentation
 
@@ -79,9 +81,8 @@ def render_text(doc: ObstructionReport, explain: bool = False) -> str:
     lines.append("minimal model stage:")
     lines.append(f"  dim V1 = {doc.model.dim_v1}  dim V2 = {doc.model.dim_v2}")
     if explain:
-        for i in range(doc.model.differential.rows):
-            row = " ".join(str(x) for x in doc.model.differential.row(i))
-            lines.append(f"  d(v{i + 1}) = [{row}]")
+        for i, cells in enumerate(_differential_cells(doc.model), 1):
+            lines.append(f"  d(v{i}) = [{' '.join(cells)}]")
     lines.append("verdicts:")
     if not doc.verdicts:
         lines.append("  (none)")
@@ -93,37 +94,80 @@ def render_text(doc: ObstructionReport, explain: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(doc: ObstructionReport) -> dict:
-    return {
-        "schema": 1,
-        "presentation": doc.presentation,
-        "n": doc.n,
-        "s": doc.s,
-        "k": doc.k,
-        "q": doc.q,
-        "dim_ker_d0": doc.dim_kernel,
-        "dim_ker_d1": doc.dim_kernel_deg2,
-        "dim_W": doc.dim_relations,
-        "dim_gamma2_gamma3": doc.dim2,
-        "grl_free": doc.free_two_step,
-        "surface_genus": doc.surface_genus,
-        "m_max": doc.m_max,
-        "excluded_genera": list(doc.excluded_genera),
-        "minimal_model": {
-            "dimV1": doc.model.dim_v1,
-            "dimV2": doc.model.dim_v2,
-            "differential": [
-                [str(x) for x in doc.model.differential.row(i)]
-                for i in range(doc.model.differential.rows)
-            ],
-        },
-        "verdicts": [
-            {"code": v.code.value, "theorem": v.theorem, "detail": v.detail}
-            for v in doc.verdicts
-        ],
-        "overall": doc.overall.value,
-    }
+def _differential_cells(model: ModelStage) -> Iterator[list[str]]:
+    """Each differential row as the strings of its dense entries.
+
+    All zero entries share one "0" string, and only the nonzero entries
+    are formatted.
+    """
+    width = comb(model.dim_v1, 2)
+    for row in model.differential:
+        cells = ["0"] * width
+        for c, x in row:
+            cells[c] = str(x)
+        yield cells
+
+
+def _json_member(key: str, value: object, pad: str) -> str:
+    """One ``"key": value`` member of an indent-2 document at depth ``pad``.
+
+    ``json.dumps`` escapes newlines inside strings, so each newline in its
+    output is layout and takes the member's indentation.
+    """
+    text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + pad)
+    return f"{pad}{json.dumps(key)}: {text}"
+
+
+def _differential_json(model: ModelStage) -> str:
+    """The differential as an indent-2 JSON array at depth 2.
+
+    Its entries are Fraction strings, which need no escaping.
+    """
+    rows = [
+        '      [\n        "' + '",\n        "'.join(cells) + '"\n      ]'
+        if cells else "      []"
+        for cells in _differential_cells(model)
+    ]
+    if not rows:
+        return "[]"
+    return "[\n" + ",\n".join(rows) + "\n    ]"
 
 
 def render_json(doc: ObstructionReport) -> str:
-    return json.dumps(to_json_dict(doc), indent=2, ensure_ascii=False) + "\n"
+    """The schema-1 document, laid out as ``json.dumps(..., indent=2)`` does.
+
+    The differential, which holds almost all of a large document, is
+    written directly from its sparse rows; every other value goes
+    through ``json.dumps``.
+    """
+    model = doc.model
+    head = (
+        ("schema", 1),
+        ("presentation", doc.presentation),
+        ("n", doc.n),
+        ("s", doc.s),
+        ("k", doc.k),
+        ("q", doc.q),
+        ("dim_ker_d0", doc.dim_kernel),
+        ("dim_ker_d1", doc.dim_kernel_deg2),
+        ("dim_W", doc.dim_relations),
+        ("dim_gamma2_gamma3", doc.dim2),
+        ("grl_free", doc.free_two_step),
+        ("surface_genus", doc.surface_genus),
+        ("m_max", doc.m_max),
+        ("excluded_genera", list(doc.excluded_genera)),
+    )
+    verdicts = [
+        {"code": v.code.value, "theorem": v.theorem, "detail": v.detail}
+        for v in doc.verdicts
+    ]
+    members = [_json_member(key, value, "  ") for key, value in head]
+    members.append(
+        '  "minimal_model": {\n'
+        + _json_member("dimV1", model.dim_v1, "    ") + ",\n"
+        + _json_member("dimV2", model.dim_v2, "    ") + ",\n"
+        + '    "differential": ' + _differential_json(model) + "\n  }"
+    )
+    members.append(_json_member("verdicts", verdicts, "  "))
+    members.append(_json_member("overall", doc.overall.value, "  "))
+    return "{\n" + ",\n".join(members) + "\n}\n"

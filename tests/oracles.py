@@ -71,3 +71,49 @@ def dense_commutator_matrix(ab):
     return RationalMatrix.from_rows(
         [[col[p] for col in columns] for p in range(comb(q, 2))], len(columns)
     )
+
+
+def densify(rows, cols):
+    """The dense matrix of sparse rows of (column, value) pairs."""
+    dense = []
+    for row in rows:
+        entries = [Fraction(0)] * cols
+        for c, x in row:
+            entries[c] = x
+        dense.append(entries)
+    return RationalMatrix.from_rows(dense, cols)
+
+
+def oracle_dict(doc):
+    """The schema-1 report document, with the differential written out dense.
+
+    ``json.dumps(oracle_dict(doc), indent=2, ensure_ascii=False) + "\\n"``
+    is the reference layout of ``analyze --json``.
+    """
+    differential = densify(doc.model.differential, comb(doc.model.dim_v1, 2))
+    return {
+        "schema": 1,
+        "presentation": doc.presentation,
+        "n": doc.n,
+        "s": doc.s,
+        "k": doc.k,
+        "q": doc.q,
+        "dim_ker_d0": doc.dim_kernel,
+        "dim_ker_d1": doc.dim_kernel_deg2,
+        "dim_W": doc.dim_relations,
+        "dim_gamma2_gamma3": doc.dim2,
+        "grl_free": doc.free_two_step,
+        "surface_genus": doc.surface_genus,
+        "m_max": doc.m_max,
+        "excluded_genera": list(doc.excluded_genera),
+        "minimal_model": {
+            "dimV1": doc.model.dim_v1,
+            "dimV2": doc.model.dim_v2,
+            "differential": [[str(x) for x in row] for row in differential.entries],
+        },
+        "verdicts": [
+            {"code": v.code.value, "theorem": v.theorem, "detail": v.detail}
+            for v in doc.verdicts
+        ],
+        "overall": doc.overall.value,
+    }

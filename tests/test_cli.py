@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,12 @@ import pytest
 
 from kahlercheck import nilpotent
 from kahlercheck.cli import main
-from kahlercheck.fixtures import CORPUS
+from kahlercheck.fixtures import (
+    CORPUS,
+    chain_link_text,
+    free_abelian_text,
+    surface_text,
+)
 
 import cases
 
@@ -19,6 +25,15 @@ DEEP_NEST = "gens: x\nrels: " + "(" * 3000 + "x" + ")" * 3000 + "\n"
 # 30 nested commutators ((x,y),y)...: 2^31 letters if built.
 LONG_NEST = "gens: x y\nrels: " + "(" * 30 + "x,y)" + ",y)" * 29 + "\n"
 HUGE_POWER = "gens: x y\nrels: (x y)^10000000\n"
+# A 401-digit power of one letter is one letter long.
+BIG_EXPONENT = "gens: x y\nrels: x^1" + "0" * 400 + " y\n"
+# Past the interpreter's 4300-digit int() limit.
+LONG_EXPONENT = "gens: x y\nrels: x^" + "9" * 5000 + "\n"
+LADDER = {
+    **{f"surface_g{g}": surface_text(g) for g in (5, 10, 14)},
+    **{f"chain_link_{m}": chain_link_text(m) for m in (8, 14, 18)},
+    **{f"abelian_z{n}": free_abelian_text(n) for n in (6, 10)},
+}
 
 
 def run(argv):
@@ -139,6 +154,22 @@ def test_analyze_matches_corpus_goldens(corpus_dir):
             assert out.encode("utf-8") == golden, f"{name}{suffix}"
 
 
+def test_analyze_matches_ladder_goldens(tmp_path):
+    # SHA-256 and UTF-8 byte length of `analyze FILE --json` and `--explain`
+    # for each ladder presentation; regenerate with this loop.
+    goldens = json.loads((DATA / "ladder.json").read_text(encoding="utf-8"))
+    assert set(goldens) == set(LADDER)
+    for name, text in LADDER.items():
+        path = write(tmp_path, text, f"{name}.pres")
+        for flag, key in (("--json", "json"), ("--explain", "explain")):
+            code, out, err = run(["analyze", str(path), flag])
+            assert code == 0 and err == ""
+            data = out.encode("utf-8")
+            expected = goldens[name][key]
+            assert len(data) == expected["bytes"], f"{name} {key}"
+            assert hashlib.sha256(data).hexdigest() == expected["sha256"], f"{name} {key}"
+
+
 def test_analyze_non_utf8_input(tmp_path):
     path = tmp_path / "bad.pres"
     path.write_bytes(b"gens: x\nrels: x\xff\n")
@@ -168,6 +199,31 @@ def test_analyze_long_power_relator(tmp_path):
     code, out, err = run(["analyze", str(path), "--oracle"])
     assert code == 0 and err == ""
     assert "n = 2  s = 1  k = 1" in out
+
+
+def test_analyze_big_exponent(tmp_path):
+    path = write(tmp_path, BIG_EXPONENT)
+    code, out, err = run(["analyze", str(path)])
+    assert code == 0 and err == ""
+    assert "rels: x^1" + "0" * 400 + " y\n" in out
+    assert "q (rational abelianization rank) = 1" in out
+    code, out, _ = run(["batch", str(tmp_path)])
+    assert code == 0
+    assert out.splitlines()[1].split() == ["input.pres", "2", "1", "1", "0", "NOT_KAHLER"]
+
+
+def test_analyze_exponent_past_int_digit_limit(tmp_path):
+    path = write(tmp_path, LONG_EXPONENT, "long.pres")
+    code, out, err = run(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"{path}: line 2, column 9: exponent of 5000 digits is too long\n"
+    write(tmp_path, "gens: x y\nrels: (x,y)\n", "good.pres")
+    code, out, _ = run(["batch", str(tmp_path)])
+    assert code == 2
+    assert out.splitlines()[1:] == [
+        "good.pres    2   1   2     0  INCONCLUSIVE",
+        "error: long.pres: line 2, column 9: exponent of 5000 digits is too long",
+    ]
 
 
 def test_analyze_is_deterministic(corpus_dir):

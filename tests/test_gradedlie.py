@@ -14,11 +14,11 @@ from kahlercheck.gradedlie import (
     minimal_model_stage,
     surface_genus,
 )
-from kahlercheck.linalg import RationalMatrix, rank
+from kahlercheck.linalg import RationalMatrix, quotient_basis, rank
 from kahlercheck.presentation import Presentation, Word, parse_presentation
 
 import cases
-from oracles import dense_commutator_matrix, jointspan_dim2
+from oracles import dense_commutator_matrix, densify, jointspan_dim2
 from strategies import presentations
 
 
@@ -77,7 +77,8 @@ def test_algebra_of_free_group():
     for n in (1, 2, 3, 4):
         _, _, grl = pipeline(cases.free_group(n))
         assert grl.dim1 == n and grl.dim2 == comb(n, 2)
-        assert grl.bracket.entries == RationalMatrix.identity(comb(n, 2)).entries
+        bracket = grl.quotient.coords.transpose()
+        assert bracket.entries == RationalMatrix.identity(comb(n, 2)).entries
 
 
 def test_algebra_two_relator_q4():
@@ -95,7 +96,7 @@ def test_bracket_is_surjective_with_kernel_w():
     for pres in (cases.surface_group(2), cases.chain_link_group(4),
                  cases.TWO_RELATOR_Q4, cases.CHAIN_PLUS_POWER):
         _, rel, grl = pipeline(pres)
-        bracket_t = grl.bracket.transpose()
+        bracket_t = grl.quotient.coords
         assert rank(bracket_t) == grl.dim2
         if rel.relation_basis.rows:
             image = bracket_t @ rel.relation_basis.transpose()
@@ -170,7 +171,7 @@ def test_model_stage_free_group():
     _, _, grl = pipeline(cases.free_group(3))
     stage = minimal_model_stage(grl)
     assert stage.dim_v1 == 3 and stage.dim_v2 == 3
-    assert stage.differential.entries == RationalMatrix.identity(3).entries
+    assert densify(stage.differential, 3).entries == RationalMatrix.identity(3).entries
 
 
 def test_model_stage_surface():
@@ -190,10 +191,11 @@ def test_model_differential_annihilates_relations():
                  cases.CHAIN_PLUS_POWER):
         _, rel, grl = pipeline(pres)
         stage = minimal_model_stage(grl)
-        assert stage.differential.entries == grl.bracket.transpose().entries
-        pairing = stage.differential @ rel.relation_basis.transpose()
+        differential = densify(stage.differential, comb(stage.dim_v1, 2))
+        assert differential.entries == grl.quotient.coords.entries
+        pairing = differential @ rel.relation_basis.transpose()
         assert all(x == 0 for row in pairing.entries for x in row)
-        assert rank(stage.differential) == stage.dim_v2
+        assert rank(differential) == stage.dim_v2
 
 
 # --- closed forms and identities ---------------------------------------------------
@@ -234,6 +236,17 @@ def test_jointspan_equivalence(pres):
 def test_commutator_matrix_matches_dense_reference(pres):
     ab = abelianization_data(pres)
     assert commutator_relations(ab).matrix == dense_commutator_matrix(ab)
+
+
+@given(presentations())
+@example(cases.surface_group(2))
+@example(cases.chain_link_group(4))
+@example(cases.free_abelian_group(3))   # W is the whole wedge square
+@example(cases.free_group(1))           # empty wedge square
+def test_degree2_quotient_matches_second_elimination(pres):
+    _, rel, grl = pipeline(pres)
+    assert grl.relations == rel.relation_basis
+    assert grl.quotient == quotient_basis(rel.relation_basis, comb(grl.dim1, 2))
 
 
 @settings(max_examples=60)

@@ -152,6 +152,23 @@ def test_quotient_kills_exactly_the_row_space(m, extra):
     assert all(x == 0 for x in qb.coordinates(vec)) == in_rows
 
 
+@given(rational_matrices())
+def test_quotient_rows_are_read_off_the_rref(m):
+    qb = quotient_basis(m, m.cols)
+    red = rref(m)
+    free = [c for c in range(m.cols) if c not in red.pivots]
+    assert len(qb.rows) == len(free) == qb.dim
+    for f, row in zip(free, qb.rows):
+        columns = [c for c, _ in row]
+        assert columns == sorted(set(columns))
+        assert all(x != 0 for _, x in row)
+        dense = [Fraction(0)] * m.cols
+        dense[f] = Fraction(1)
+        for i, p in enumerate(red.pivots):
+            dense[p] = -red.matrix.entries[i][f]
+        assert dict(row) == {c: x for c, x in enumerate(dense) if x}
+
+
 # --- alternating forms --------------------------------------------------------------
 
 def test_wedge_pairs_order():

@@ -1,6 +1,8 @@
+import json
 import random
+from math import comb
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kahlercheck.gradedlie import RelatorClass
@@ -26,8 +28,11 @@ from kahlercheck.obstructions import (
     overall_code,
 )
 from kahlercheck.presentation import parse_presentation
+from kahlercheck.report import build_report, render_json, render_text
 
 import cases
+from oracles import oracle_dict
+from strategies import presentations
 
 
 # --- individual checks -----------------------------------------------------------
@@ -217,3 +222,24 @@ def test_known_kahler_controls_fire_nothing_fatal():
         report = evaluate(pres)
         assert report.overall is not VerdictCode.NOT_KAHLER
         assert all(v.code is not VerdictCode.NOT_KAHLER for v in report.verdicts)
+
+
+# --- rendering ------------------------------------------------------------------
+
+@given(presentations())
+@example(cases.TRIVIAL)                  # q = 0
+@example(cases.free_group(1))            # q = 1, empty wedge square
+@example(cases.free_abelian_group(4))    # dimV2 = 0 with q = 4
+@example(cases.surface_group(3))
+@example(parse_presentation("gens: a b c d\nrels: (a,b)^2 (c,d)^3"))  # -3/2
+def test_render_matches_dense_oracle(pres):
+    doc = build_report(pres)
+    expected = oracle_dict(doc)
+    assert render_json(doc) == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
+    rows = expected["minimal_model"]["differential"]
+    assert len(rows) == doc.model.dim_v2
+    assert all(len(row) == comb(doc.q, 2) for row in rows)
+    lines = render_text(doc, explain=True).split("\n")
+    assert [line for line in lines if line.startswith("  d(v")] == [
+        f"  d(v{i}) = [{' '.join(row)}]" for i, row in enumerate(rows, 1)
+    ]

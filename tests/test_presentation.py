@@ -67,6 +67,22 @@ def test_word_power():
     assert x ** 40 == Word(((0, 40),))
 
 
+@given(words_with_rank(), st.integers(-6, 6))
+def test_word_power_is_repeated_product(data, m):
+    _, word = data
+    expected = Word()
+    for _ in range(abs(m)):
+        expected = expected * (word if m > 0 else word.inverse())
+    assert word ** m == expected
+
+
+def test_word_power_of_huge_exponent():
+    big = 10 ** 400
+    x, y = Word.generator(0), Word.generator(1)
+    assert x ** big == Word(((0, big),))
+    assert (y * x * y.inverse()) ** -big == Word(((1, 1), (0, -big), (1, -1)))
+
+
 @given(words_with_rank())
 def test_normalization_idempotent(data):
     _, word = data
@@ -209,6 +225,21 @@ def test_parse_letter_limit(monkeypatch):
         with pytest.raises(ParseError, match="longer than 10 letters") as excinfo:
             parse_presentation(rel(text))
         assert (excinfo.value.line, excinfo.value.column) == (2, column), text
+
+
+def test_parse_long_token_relator():
+    # 20,000 factors, each appended to the running reduction once
+    tokens = parse_presentation("gens: x y\nrels: " + "x y " * 10_000 + "\n")
+    power = parse_presentation("gens: x y\nrels: (x y)^10000\n")
+    assert tokens == power
+    assert len(tokens.relators[0].letters) == 20_000
+
+
+def test_parse_exponent_past_int_digit_limit():
+    # 5000 digits exceed the interpreter's default int() string limit
+    with pytest.raises(ParseError, match="exponent of 5000 digits") as excinfo:
+        parse_presentation("gens: x y\nrels: y x^-" + "9" * 5000 + "\n")
+    assert (excinfo.value.line, excinfo.value.column) == (2, 12)
 
 
 def test_parse_relators_without_generators():
