@@ -4,7 +4,9 @@ Pipeline, all over the rationals:
 
 1. Degree 1.  The exponent-sum vectors of the relators span a subspace
    of Q^n; the quotient is the rational abelianization, of dimension
-   q = n - k where k is the rank of the relator span.
+   q = n - k where k is the rank of the relator span.  One elimination
+   of the exponent matrix gives both the quotient basis and integer
+   relator combinations whose exponent sums cancel.
 
 2. Degree 2.  Each rational combination of relators whose exponent sums
    cancel contributes a degree-2 relation: the antisymmetrized quadratic
@@ -37,9 +39,8 @@ from .linalg import (
     Rref,
     SparseRow,
     alternating_rank,
-    quotient_basis,
-    nullspace,
     rref,
+    rref_and_left_kernel,
     rref_quotient,
     wedge_pairs,
 )
@@ -48,12 +49,17 @@ from .presentation import Presentation
 
 @dataclass(frozen=True)
 class AbelianizationData:
-    """Degree-1 layer: relator expansions, exponent matrix, its rank and kernel."""
+    """Degree-1 layer: relator expansions, exponent matrix, its rank and kernel.
+
+    ``kernel`` holds s - k independent integer combinations of the
+    relators, each of length s, whose exponent sums cancel: a basis of
+    the left kernel of the exponent matrix.
+    """
 
     series: tuple[magnus.TruncatedSeries2, ...]  # expansion of relator i
     exponent_matrix: RationalMatrix   # s x n, row i = exponent sums of relator i
     rank: int                         # k
-    kernel: RationalMatrix            # s x (s - k), columns = relation combinations
+    kernel: tuple[tuple[int, ...], ...]   # s - k rows, one combination each
     quotient: QuotientBasis           # Q^n modulo the relator rows
 
     @property
@@ -74,11 +80,17 @@ class AbelianizationData:
 
 
 def abelianization_data(pres: Presentation) -> AbelianizationData:
+    """Expand each relator and eliminate the exponent matrix M once.
+
+    One elimination of [M | I_s] gives the RREF of M, hence the rank and
+    the quotient basis, and s - k integer relator combinations whose
+    exponent sums cancel.
+    """
     series = tuple(magnus.expand(rel, pres.n) for rel in pres.relators)
     matrix = RationalMatrix.from_rows([x.linear for x in series], pres.n)
-    quotient = quotient_basis(matrix, pres.n)
-    kernel = nullspace(matrix.transpose())
-    return AbelianizationData(series, matrix, len(quotient.pivots), kernel, quotient)
+    reduced, kernel = rref_and_left_kernel(matrix)
+    return AbelianizationData(series, matrix, reduced.rank, kernel,
+                              rref_quotient(reduced))
 
 
 @dataclass(frozen=True)
@@ -127,9 +139,9 @@ def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
             support[i].append((a, x))
     pairs_q = wedge_pairs(ab.q)
     columns: list[dict[tuple[int, int], Fraction]] = []
-    for col in range(ab.kernel.cols):
-        combined: dict[tuple[int, int], Fraction] = {}
-        for lam, image in zip(ab.kernel.column(col), images):
+    for combination in ab.kernel:
+        combined: dict[tuple[int, int], int] = {}
+        for lam, image in zip(combination, images):
             if lam:
                 for pair, c in image.items():
                     combined[pair] = combined.get(pair, 0) + lam * c

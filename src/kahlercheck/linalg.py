@@ -1,15 +1,22 @@
 """Exact linear algebra over the rationals: dense matrices, sparse quotient rows.
 
-Everything is built on fractions.Fraction, so entries stay in lowest
-terms with positive denominators and every rank is exact.  Pivoting is
-deterministic (leftmost nonzero column, first eligible row) so that all
-derived bases and reports are reproducible byte for byte.
+Matrices hold fractions.Fraction entries, in lowest terms with positive
+denominators, so every rank is exact.  ``rref`` eliminates fraction-free
+over int: each row is scaled to integers, rows are combined by integer
+row operations and divided by the gcd of their entries, and each pivot
+row is divided by its pivot only at the end.  The RREF of a row space is
+unique, so the result is the one Gauss-Jordan elimination over Fraction
+gives.  Pivoting is deterministic (leftmost nonzero column, first
+eligible row) so that all derived bases and reports are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -94,28 +101,88 @@ class Rref:
 
 
 def rref(matrix: RationalMatrix) -> Rref:
-    """Reduced row-echelon form by exact Gauss-Jordan elimination."""
-    rows = [list(row) for row in matrix.entries]
-    n_rows, n_cols = len(rows), matrix.cols
+    """Reduced row-echelon form by fraction-free elimination over int.
+
+    Each row is scaled to integers, rows are combined by integer row
+    operations, and only at the end is each pivot row divided by its
+    pivot.  The RREF of a row space is unique, so this is the matrix
+    Gauss-Jordan elimination over Fraction gives.
+    """
+    rows = [_integer_row(row) for row in matrix.entries]
+    pivots = _eliminate(rows, matrix.cols)
+    return _normalized(rows, pivots, matrix.cols)
+
+
+def rref_and_left_kernel(
+        matrix: RationalMatrix) -> tuple[Rref, tuple[tuple[int, ...], ...]]:
+    """The RREF of M and an integer basis of its left kernel, from one elimination.
+
+    Row i of M is eliminated as [d M_i | d e_i], with d the lcm of its
+    denominators.  The first M.cols columns reduce as ``rref(M)`` would.
+    The rows left zero there hold, in their last M.rows entries,
+    independent integer combinations lambda with lambda M = 0, one per
+    row beyond the rank.
+    """
+    n, s = matrix.cols, matrix.rows
+    rows = [_integer_row((*row, *(0,) * i, 1, *(0,) * (s - 1 - i)))
+            for i, row in enumerate(matrix.entries)]
+    pivots = _eliminate(rows, n + s)
+    k = bisect_left(pivots, n)
+    kernel = tuple(tuple(row[n:]) for row in rows[k:])
+    return _normalized(rows, pivots[:k], n), kernel
+
+
+def _normalized(rows: list[list[int]], pivots: list[int], n_cols: int) -> Rref:
+    """The first n_cols columns of eliminated rows, each pivot row divided
+    by its pivot; the rows past the pivots are zero there."""
+    zero = Fraction(0)
+    reduced = [tuple(Fraction(x, row[c]) if x else zero for x in row[:n_cols])
+               for row, c in zip(rows, pivots)]
+    reduced.extend([(zero,) * n_cols] * (len(rows) - len(pivots)))
+    return Rref(RationalMatrix(tuple(reduced), n_cols), len(pivots), tuple(pivots))
+
+
+def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
+    """The row times the lcm of its denominators: integers, same direction."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _eliminate(rows: list[list[int]], n_cols: int) -> list[int]:
+    """Bring integer rows to reduced echelon shape in place; return the pivots.
+
+    Pivoting takes the leftmost nonzero column and the first eligible
+    row.  Every other row with a nonzero in the pivot column is replaced
+    by an integer combination with the pivot row that clears it, divided
+    by the gcd of its entries.  Pivots are left unnormalized.
+    """
+    n_rows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+            a = rows[i][c]
+            if a and i != r:
+                g = gcd(p, a)
+                pg, ag = p // g, a // g
+                row = [pg * x - ag * y for x, y in zip(rows[i], prow)]
+                content = gcd(*row)
+                if content > 1:
+                    row = [x // content for x in row]
+                rows[i] = row
         pivots.append(c)
         r += 1
-        if r == n_rows:
-            break
-    reduced = RationalMatrix(tuple(tuple(row) for row in rows), n_cols)
-    return Rref(reduced, len(pivots), tuple(pivots))
+    return pivots
 
 
 def rank(matrix: RationalMatrix) -> int:

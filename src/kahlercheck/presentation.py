@@ -13,7 +13,9 @@ product of factors.  Each factor is an atom with an optional integer
 power ``^k``.  An atom is a generator name, a parenthesized word
 ``( w )``, or a commutator ``( u , v )`` which expands to
 ``u v u^-1 v^-1``.  ``(w)^0`` and ``()`` denote the empty word.
-``#`` starts a comment running to the end of the line.
+``#`` starts a comment running to the end of the line.  Names and
+exponents are ASCII; any other character in a relator that is not
+whitespace is an error at its line and column.
 
 A relator may expand to at most ``MAX_LETTERS`` letters (maximal powers
 of one generator) after free reduction; every power, commutator and
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from decimal import Decimal
+from typing import Iterable, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -75,6 +78,65 @@ def _extend_reduced(out: list[tuple[int, int]],
             out.append((gen, exp))
 
 
+# Normalized words as letter sequences, shared by ``Word`` and the parser.
+_Letters = Sequence[tuple[int, int]]
+
+
+def _inverse(a: _Letters) -> list[tuple[int, int]]:
+    return [(g, -e) for g, e in reversed(a)]
+
+
+def _conjugator_length(a: _Letters) -> int:
+    """Length k of u in a = u c u^-1 with c cyclically reduced (a nonempty)."""
+    k, last = 0, len(a) - 1
+    while a[k][0] == a[last - k][0] and a[k][1] == -a[last - k][1]:
+        k += 1
+    return k
+
+
+def _product_length(a: _Letters, b: _Letters) -> int:
+    """Letters in the product a b."""
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1][0] == b[j][0]:
+        if a[i - 1][1] + b[j][1]:
+            return i + len(b) - j - 1   # the two letters merge into one
+        i -= 1
+        j += 1
+    return i + len(b) - j
+
+
+def _power_length(a: _Letters, m: int) -> int:
+    """Letters in a ** m (see ``Word.power_length``)."""
+    if not m or not a:
+        return 0
+    k = _conjugator_length(a)
+    core = len(a) - 2 * k
+    if core == 1:
+        return 2 * k + 1
+    m = abs(m)
+    merges = m - 1 if a[k][0] == a[len(a) - 1 - k][0] else 0
+    return 2 * k + m * core - merges
+
+
+def _power(a: _Letters, m: int) -> tuple[tuple[int, int], ...]:
+    """a ** m, built as u c^m u^-1 without repeated products."""
+    if not m or not a:
+        return ()
+    if len(a) == 1:
+        (gen, exp), = a
+        return ((gen, exp * m),)
+    k = _conjugator_length(a)
+    core = a[k:len(a) - k]
+    if m < 0:
+        core, m = _inverse(core), -m
+    if len(core) == 1:
+        (gen, exp), = core
+        powered = [(gen, exp * m)]
+    else:
+        powered = list(core) * m
+    return _normalize([*a[:k], *powered, *a[len(a) - k:]])
+
+
 @dataclass(frozen=True)
 class Word:
     """A normalized free-group word: tuple of (generator index, exponent).
@@ -101,42 +163,15 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word(tuple(_inverse(self.letters)))
 
     def __pow__(self, m: int) -> "Word":
         """self ** m, built as u c^m u^-1 (see ``power_length``)."""
-        a = self.letters
-        if not m or not a:
-            return Word()
-        k = self._conjugator_length()
-        core = Word(a[k:len(a) - k])
-        if m < 0:
-            core, m = core.inverse(), -m
-        if len(core.letters) == 1:
-            (gen, exp), = core.letters
-            powered = ((gen, exp * m),)
-        else:
-            powered = core.letters * m
-        return Word(a[:k] + powered + a[len(a) - k:])
-
-    def _conjugator_length(self) -> int:
-        """Length k of u in self = u c u^-1 with c cyclically reduced."""
-        a = self.letters
-        k, last = 0, len(a) - 1
-        while a[k][0] == a[last - k][0] and a[k][1] == -a[last - k][1]:
-            k += 1
-        return k
+        return Word(_power(self.letters, m))
 
     def product_length(self, other: "Word") -> int:
         """Letters in self * other, computed without building it."""
-        a, b = self.letters, other.letters
-        i, j = len(a), 0
-        while i and j < len(b) and a[i - 1][0] == b[j][0]:
-            if a[i - 1][1] + b[j][1]:
-                return i + len(b) - j - 1   # the two letters merge into one
-            i -= 1
-            j += 1
-        return i + len(b) - j
+        return _product_length(self.letters, other.letters)
 
     def power_length(self, m: int) -> int:
         """Letters in self ** m, computed without building it.
@@ -145,16 +180,7 @@ class Word:
         self ** m = u c^m u^-1, and the copies of c only merge at their
         junctions when c starts and ends on the same generator.
         """
-        a = self.letters
-        if not m or not a:
-            return 0
-        k = self._conjugator_length()
-        core = len(a) - 2 * k
-        if core == 1:
-            return 2 * k + 1
-        m = abs(m)
-        merges = m - 1 if a[k][0] == a[len(a) - 1 - k][0] else 0
-        return 2 * k + m * core - merges
+        return _power_length(self.letters, m)
 
     def conjugated_by(self, g: "Word") -> "Word":
         """Return g * self * g^-1."""
@@ -205,8 +231,20 @@ def format_word(word: Word, names: tuple[str, ...]) -> str:
     if not word.letters:
         return "()"
     return " ".join(
-        names[g] if e == 1 else f"{names[g]}^{e}" for g, e in word.letters
+        names[g] if e == 1 else f"{names[g]}^{_digits(e)}" for g, e in word.letters
     )
+
+
+def _digits(n: int) -> str:
+    """str(n), in full even past the interpreter's int-to-str digit limit.
+
+    The parser reads exponents up to that limit, and merging adjacent
+    powers can add a digit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def format_presentation(pres: Presentation) -> str:
@@ -222,12 +260,13 @@ def format_presentation(pres: Presentation) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "int" | "sign" | "^" | "(" | ")" | "," | "|" | "nl"
-    text: str
-    line: int
-    col: int
+# A token is a tuple (kind, text, line, column), with 1-based line and
+# column.  Kinds: "name", "int", "sign", the punctuation character itself
+# ("^", "(", ")", ",", "|"), or "other" for any other non-space character,
+# which is an error.  Names and digits are ASCII only.
+_TOKEN_RE = re.compile(rf"({NAME_RE.pattern})|([0-9]+)|([-+])|([\^(),|])|(\S)")
+_KINDS = (None, "name", "int", "sign", None, "other")   # by group; None: the text
+_Token = tuple[str, str, int, int]
 
 
 def _strip_comment(line: str) -> str:
@@ -235,43 +274,12 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _lex_region(lines: list[str], first_line: int, first_col: int) -> Iterator[_Token]:
-    """Tokenize relator text from (first_line, first_col) to end of input.
-
-    Line and column numbers are 1-based.
-    """
-    for idx in range(first_line - 1, len(lines)):
-        raw = _strip_comment(lines[idx])
-        pos = first_col - 1 if idx == first_line - 1 else 0
-        while pos < len(raw):
-            ch = raw[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            col = pos + 1
-            if ch.isalpha():
-                m = NAME_RE.match(raw, pos)
-                assert m is not None
-                yield _Token("name", m.group(), idx + 1, col)
-                pos = m.end()
-            elif ch.isdigit():
-                m = re.compile(r"\d+").match(raw, pos)
-                assert m is not None
-                yield _Token("int", m.group(), idx + 1, col)
-                pos = m.end()
-            elif ch in "+-":
-                yield _Token("sign", ch, idx + 1, col)
-                pos += 1
-            elif ch in "^(),|":
-                yield _Token(ch, ch, idx + 1, col)
-                pos += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", idx + 1, col)
-        yield _Token("nl", "", idx + 1, len(raw) + 1)
-
-
 class _WordParser:
-    """Recursive-descent parser for one relator's token list."""
+    """Recursive-descent parser for one relator's token list.
+
+    Words are built as normalized letter lists; only the relator itself
+    becomes a ``Word``.
+    """
 
     def __init__(self, tokens: list[_Token], gen_index: dict[str, int]):
         self.tokens = tokens
@@ -285,27 +293,25 @@ class _WordParser:
     def _next(self, kind: str | None = None, describe: str | None = None) -> _Token:
         tok = self._peek()
         if tok is None:
-            last = self.tokens[-1]
+            _, text, line, col = self.tokens[-1]
             raise ParseError(
                 f"unexpected end of relator (expected {describe or kind or 'more input'})",
-                last.line, last.col + len(last.text),
+                line, col + len(text),
             )
-        if kind is not None and tok.kind != kind:
-            raise ParseError(
-                f"expected {describe or kind}, found {tok.text!r}", tok.line, tok.col
-            )
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {describe or kind}, found {tok[1]!r}",
+                             tok[2], tok[3])
         self.pos += 1
         return tok
 
     def parse_relator(self) -> Word:
-        word = self.parse_word(closers=())
-        if self._peek() is not None:
-            tok = self._peek()
-            assert tok is not None
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-        return word
+        letters = self.parse_word(closers=())
+        tok = self._peek()
+        if tok is not None:
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2], tok[3])
+        return Word(tuple(letters))
 
-    def parse_word(self, closers: tuple[str, ...]) -> Word:
+    def parse_word(self, closers: tuple[str, ...]) -> list[tuple[int, int]]:
         """The product of the factors up to a closer, reduced as it is read.
 
         The length limit is checked after each factor, at its first token.
@@ -313,71 +319,71 @@ class _WordParser:
         letters: list[tuple[int, int]] = []
         while True:
             tok = self._peek()
-            if tok is None or tok.kind in closers:
-                return Word(tuple(letters))
-            _extend_reduced(letters, self.parse_factor().letters)
+            if tok is None or tok[0] in closers:
+                return letters
+            _extend_reduced(letters, self.parse_factor())
             _check_length(len(letters), tok)
 
-    def parse_factor(self) -> Word:
+    def parse_factor(self) -> _Letters:
         atom = self.parse_atom()
         caret = self._peek()
-        if caret is not None and caret.kind == "^":
-            self._next()
+        if caret is not None and caret[0] == "^":
+            self.pos += 1
             sign = 1
             tok = self._peek()
-            if tok is not None and tok.kind == "sign":
-                self._next()
-                sign = -1 if tok.text == "-" else 1
-            digits = self._next("int")
+            if tok is not None and tok[0] == "sign":
+                self.pos += 1
+                sign = -1 if tok[1] == "-" else 1
+            _, digits, line, col = self._next("int")
             try:
-                m = sign * int(digits.text)
+                m = sign * int(digits)
             except ValueError:   # longer than the interpreter reads as an int
-                raise ParseError(f"exponent of {len(digits.text)} digits is too long",
-                                 digits.line, digits.col) from None
-            _check_length(atom.power_length(m), caret)
-            atom = atom ** m
+                raise ParseError(f"exponent of {len(digits)} digits is too long",
+                                 line, col) from None
+            _check_length(_power_length(atom, m), caret)
+            atom = _power(atom, m)
         return atom
 
-    def parse_atom(self) -> Word:
+    def parse_atom(self) -> _Letters:
         tok = self._next(describe="a generator or '('")
-        if tok.kind == "name":
-            index = self.gen_index.get(tok.text)
+        kind, text, line, col = tok
+        if kind == "name":
+            index = self.gen_index.get(text)
             if index is None:
-                raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.col)
-            return Word.generator(index)
-        if tok.kind == "(":
+                raise ParseError(f"unknown generator {text!r}", line, col)
+            return ((index, 1),)
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 tok.line, tok.col)
+                                 line, col)
             self.depth += 1
             first = self.parse_word(closers=(",", ")"))
             nxt = self._next(describe="',' or ')'")
-            if nxt.kind == ",":
+            if nxt[0] == ",":
                 second = self.parse_word(closers=(")",))
                 self._next(")")
                 first = self._product(
-                    (first, second, first.inverse(), second.inverse()), tok)
-            elif nxt.kind != ")":
-                raise ParseError(f"expected ',' or ')', found {nxt.text!r}",
-                                 nxt.line, nxt.col)
+                    (first, second, _inverse(first), _inverse(second)), tok)
+            elif nxt[0] != ")":
+                raise ParseError(f"expected ',' or ')', found {nxt[1]!r}",
+                                 nxt[2], nxt[3])
             self.depth -= 1
             return first
-        raise ParseError(f"expected a generator or '(', found {tok.text!r}", tok.line, tok.col)
+        raise ParseError(f"expected a generator or '(', found {text!r}", line, col)
 
     @staticmethod
-    def _product(factors: tuple[Word, ...], tok: _Token) -> Word:
+    def _product(factors: tuple[_Letters, ...], tok: _Token) -> list[tuple[int, int]]:
         """Product of the factors, each step checked against MAX_LETTERS."""
-        word = factors[0]
+        word = list(factors[0])
         for factor in factors[1:]:
-            _check_length(word.product_length(factor), tok)
-            word = word * factor
+            _check_length(_product_length(word, factor), tok)
+            _extend_reduced(word, factor)
         return word
 
 
 def _check_length(letters: int, tok: _Token) -> None:
     if letters > MAX_LETTERS:
-        raise ParseError(f"relator longer than {MAX_LETTERS} letters",
-                         tok.line, tok.col)
+        raise ParseError(f"relator longer than {MAX_LETTERS} letters", tok[2], tok[3])
 
 
 def _parse_gens_line(line: str, line_no: int) -> tuple[str, ...]:
@@ -434,24 +440,29 @@ def parse_presentation(text: str) -> Presentation:
     def flush() -> None:
         nonlocal pipe_pending
         if segment:
-            relators.append(_WordParser(list(segment), gen_index).parse_relator())
+            relators.append(_WordParser(segment[:], gen_index).parse_relator())
             segment.clear()
             pipe_pending = None
 
-    start_col = rels_offset + len("rels:") + 1
-    for tok in _lex_region(lines, ri + 1, start_col):
-        if tok.kind == "|":
-            if not segment:
-                raise ParseError("expected a relator before '|'", tok.line, tok.col)
-            flush()
-            pipe_pending = tok
-        elif tok.kind == "nl":
-            flush()
-        else:
-            segment.append(tok)
-    flush()
+    start = rels_offset + len("rels:")
+    for idx in range(ri, len(lines)):
+        raw = _strip_comment(lines[idx])
+        for match in _TOKEN_RE.finditer(raw, start):
+            text = match.group()
+            tok = (_KINDS[match.lastindex] or text, text, idx + 1, match.start() + 1)
+            if text == "|":
+                if not segment:
+                    raise ParseError("expected a relator before '|'", idx + 1, tok[3])
+                flush()
+                pipe_pending = tok
+            elif tok[0] == "other":
+                raise ParseError(f"unexpected character {text!r}", idx + 1, tok[3])
+            else:
+                segment.append(tok)
+        flush()
+        start = 0
     if pipe_pending is not None:
-        raise ParseError("expected a relator after '|'", pipe_pending.line, pipe_pending.col)
+        raise ParseError("expected a relator after '|'", pipe_pending[2], pipe_pending[3])
 
     if relators and not generators:
         raise ParseError("relators given but no generators declared", gi + 1, 1)

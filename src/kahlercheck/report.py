@@ -13,6 +13,8 @@ matrix entries as exact rational strings from Fraction (``"3"``,
 from __future__ import annotations
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 from math import comb
 from typing import Iterator
 
@@ -104,8 +106,17 @@ def _differential_cells(model: ModelStage) -> Iterator[list[str]]:
     for row in model.differential:
         cells = ["0"] * width
         for c, x in row:
-            cells[c] = str(x)
+            cells[c] = _exact(x)
         yield cells
+
+
+def _exact(x: Fraction) -> str:
+    """str(x), in full even past the interpreter's int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:   # a numerator or denominator over 4300 digits
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def _json_member(key: str, value: object, pad: str) -> str:

@@ -5,7 +5,37 @@ from math import comb
 
 from kahlercheck import magnus
 from kahlercheck.gradedlie import abelianization_data
-from kahlercheck.linalg import RationalMatrix, rank, wedge_pairs
+from kahlercheck.linalg import RationalMatrix, Rref, rank, wedge_pairs
+
+
+def gauss_jordan_rref(matrix):
+    """Reduced row-echelon form by Gauss-Jordan elimination over Fraction.
+
+    The textbook elimination: the pivot row is divided by its pivot, then
+    subtracted from every other row, all in Fraction arithmetic.  Pivoting
+    takes the leftmost nonzero column and the first eligible row.
+    """
+    rows = [[Fraction(x) for x in row] for row in matrix.entries]
+    n_rows, n_cols = len(rows), matrix.cols
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    reduced = RationalMatrix(tuple(tuple(row) for row in rows), n_cols)
+    return Rref(reduced, len(pivots), tuple(pivots))
 
 
 def jointspan_dim2(pres):
@@ -30,8 +60,7 @@ def jointspan_dim2(pres):
                 lin[a] * unit[b] - lin[b] * unit[a] for a, b in pairs
             ))
     ab = abelianization_data(pres)
-    for c in range(ab.kernel.cols):
-        lam = ab.kernel.column(c)
+    for lam in ab.kernel:
         combined = [
             [sum((lam[r] * expansions[r].quadratic[i][j]
                   for r in range(len(expansions))), Fraction(0))
@@ -54,8 +83,7 @@ def dense_commutator_matrix(ab):
     n, q = ab.n, ab.q
     coords = ab.quotient.coords
     columns = []
-    for c in range(ab.kernel.cols):
-        lam = ab.kernel.column(c)
+    for lam in ab.kernel:
         combined = [
             [sum((lam[r] * ab.series[r].quadratic[i][j] for r in range(ab.s)),
                  Fraction(0))

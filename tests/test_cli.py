@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,54 @@ def test_analyze_exponent_past_int_digit_limit(tmp_path):
         "good.pres    2   1   2     0  INCONCLUSIVE",
         "error: long.pres: line 2, column 9: exponent of 5000 digits is too long",
     ]
+
+
+def test_analyze_non_ascii_input(tmp_path):
+    bad = {"letter.pres": ("x é", "line 2, column 9: unexpected character 'é'"),
+           "superscript.pres": ("x^²", "line 2, column 9: unexpected character '²'"),
+           "arabic_digit.pres": ("x^٣", "line 2, column 9: unexpected character '٣'")}
+    for name, (rels, message) in bad.items():
+        path = write(tmp_path, f"gens: x\nrels: {rels}\n", name)
+        code, out, err = run(["analyze", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"{path}: {message}\n"
+    write(tmp_path, "gens: x y\nrels: (x,y)\n", "good.pres")
+    code, out, _ = run(["batch", str(tmp_path)])
+    assert code == 2
+    assert out.splitlines()[1:] == [
+        "good.pres    2   1   2     0  INCONCLUSIVE",
+        *(f"error: {name}: {message}" for name, (_, message) in sorted(bad.items())),
+    ]
+
+
+def test_analyze_report_numbers_past_int_digit_limit(tmp_path):
+    # The degree-2 quotient has the entry -1/N^2, of 6000 digits, past the
+    # interpreter's 4300-digit int-to-str limit; the elimination stays fast.
+    n = int("7" * 3000)
+    path = write(tmp_path, f"gens: x y z\nrels: (x^{n}, y^{n}) (x,z)\n", "big.pres")
+    start = time.perf_counter()
+    code, out, err = run(["analyze", str(path), "--json"])
+    assert code == 0 and err == ""
+    code, text, err = run(["analyze", str(path), "--explain"])
+    assert code == 0 and err == ""
+    assert time.perf_counter() - start < 10
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        entry = f"-1/{n * n}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert json.loads(out)["minimal_model"]["differential"] == [
+        [entry, "1", "0"], ["0", "0", "1"]]
+    assert f"  d(v1) = [{entry} 1 0]\n  d(v2) = [0 0 1]\n" in text
+    # merged powers print a 4301-digit exponent, and batch keeps its row
+    power = "x^" + "9" * 4300
+    merged = write(tmp_path, f"gens: x\nrels: {power} {power}\n", "merged.pres")
+    code, out, err = run(["analyze", str(merged)])
+    assert code == 0 and err == ""
+    assert "rels: x^1" + "9" * 4299 + "8\n" in out
+    code, out, _ = run(["batch", str(tmp_path)])
+    assert code == 0 and len(out.splitlines()) == 3
 
 
 def test_analyze_is_deterministic(corpus_dir):

@@ -49,6 +49,25 @@ def test_degree1_chain_plus_power():
     assert ab.quotient.coordinates((2, -2, 0, 2, 0)) == (0, 0, 0, 0)
 
 
+@given(presentations())
+@example(cases.free_abelian_group(4))   # M = 0: every combination is a kernel row
+@example(cases.CHAIN_PLUS_POWER)
+@example(cases.THREE_RELATOR_RANK2)     # empty kernel
+@example(cases.TRIVIAL)
+def test_degree1_kernel_rows(pres):
+    ab = abelianization_data(pres)
+    assert len(ab.kernel) == ab.s - ab.rank == ab.dim_kernel
+    assert all(len(lam) == ab.s and all(type(x) is int for x in lam)
+               for lam in ab.kernel)
+    m = ab.exponent_matrix.entries
+    for lam in ab.kernel:   # lambda M = 0
+        assert all(sum(x * m[r][j] for r, x in enumerate(lam)) == 0 for j in range(ab.n))
+    if ab.kernel:
+        assert rank(RationalMatrix.from_rows(ab.kernel, ab.s)) == len(ab.kernel)
+    assert ab.rank == rank(ab.exponent_matrix)
+    assert ab.quotient == quotient_basis(ab.exponent_matrix, ab.n)
+
+
 # --- degree 2 ---------------------------------------------------------------
 
 def test_degree2_surface_group():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kahlercheck.linalg import (
@@ -13,9 +13,11 @@ from kahlercheck.linalg import (
     rank,
     row_space_contains,
     rref,
+    rref_and_left_kernel,
     wedge_pairs,
 )
 
+from oracles import gauss_jordan_rref
 from strategies import rational_matrices
 
 
@@ -79,6 +81,58 @@ def test_rref_output_is_reduced():
 def test_rref_exact_fractions():
     red = rref(mat([[Fraction(1, 3), Fraction(1, 6)], [Fraction(2, 3), Fraction(1, 2)]]))
     assert red.rank == 2
+
+
+@st.composite
+def elimination_matrices(draw):
+    """Matrices with zero rows and columns, dependent rows, wide and tall
+    shapes, non-integer entries and entries far past machine words."""
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(1, 7))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-4, 4).map(Fraction),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        st.integers(-(10 ** 40), 10 ** 40).map(Fraction),
+        st.builds(Fraction, st.integers(-(10 ** 30), 10 ** 30),
+                  st.integers(1, 10 ** 25)),
+    )
+    entries = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows and draw(st.booleans()):   # a row that depends on the others
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(rows)]
+        entries.append([sum((k * row[j] for k, row in zip(coeffs, entries)),
+                            Fraction(0)) for j in range(cols)])
+    return RationalMatrix.from_rows(entries, cols)
+
+
+@given(elimination_matrices())
+@example(RationalMatrix.from_rows([], cols=3))
+@example(RationalMatrix.zeros(3, 2))
+@example(mat([[0, 0, 0], [0, 2, 4], [0, 1, 2], [3, 0, 1]]))
+@example(mat([[Fraction(1, 3), Fraction(-2, 7), 5, 10 ** 50]]))
+@example(mat([[1], [2], [Fraction(-1, 2)], [0]]))
+def test_rref_matches_fraction_gauss_jordan(m):
+    red, expected = rref(m), gauss_jordan_rref(m)
+    assert red.rank == expected.rank
+    assert red.pivots == expected.pivots
+    assert red.matrix == expected.matrix
+    assert all(type(x) is Fraction for row in red.matrix.entries for x in row)
+
+
+@given(elimination_matrices())
+@example(RationalMatrix.from_rows([], cols=3))
+@example(RationalMatrix.zeros(3, 2))
+@example(mat([[Fraction(1, 2), 1], [1, 2], [0, Fraction(-1, 3)]]))
+def test_rref_and_left_kernel(m):
+    red, kernel = rref_and_left_kernel(m)
+    assert red == gauss_jordan_rref(m)
+    assert len(kernel) == m.rows - red.rank
+    assert all(len(lam) == m.rows and all(type(x) is int for x in lam) for lam in kernel)
+    for lam in kernel:   # lambda M = 0
+        assert all(sum(x * row[j] for x, row in zip(lam, m.entries)) == 0
+                   for j in range(m.cols))
+    if kernel:
+        assert rank(mat(kernel)) == len(kernel)
 
 
 # --- nullspace -------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,10 @@ from kahlercheck.presentation import (
 )
 
 from strategies import presentations, raw_letters, words_with_rank
+
+PARSE_CASES = json.loads(
+    (Path(__file__).parent / "data" / "parse_errors.json").read_text(encoding="utf-8")
+)["cases"]
 
 
 # --- words -------------------------------------------------------------------
@@ -242,6 +249,27 @@ def test_parse_exponent_past_int_digit_limit():
     assert (excinfo.value.line, excinfo.value.column) == (2, 12)
 
 
+def test_parse_non_ascii_is_located():
+    # names and exponents are ASCII; other characters are located errors
+    for rels, column, char in (("x é", 9, "é"), ("x^²", 9, "²"), ("x^٣", 9, "٣"),
+                               ("é x", 7, "é"), ("x x3é", 11, "é"), ("x^3٣", 10, "٣")):
+        with pytest.raises(ParseError) as excinfo:
+            parse_presentation("gens: x x3\nrels: " + rels + "\n")
+        assert str(excinfo.value) == \
+            f"line 2, column {column}: unexpected character {char!r}", rels
+    # Unicode whitespace still separates tokens
+    pres = parse_presentation("gens: x y\nrels: x\u00a0y\u2003x\n")
+    assert pres.relators[0].letters == ((0, 1), (1, 1), (0, 1))
+
+
+def test_format_exponent_past_int_digit_limit():
+    # two 4300-digit powers merge into a 4301-digit exponent
+    power = "x^" + "9" * 4300
+    pres = parse_presentation(f"gens: x\nrels: {power} {power}\n")
+    assert format_presentation(pres) == \
+        "gens: x\nrels: x^1" + "9" * 4299 + "8\n"
+
+
 def test_parse_relators_without_generators():
     with pytest.raises(ParseError, match="no generators"):
         parse_presentation("gens:\nrels: ()")
@@ -270,6 +298,20 @@ def test_parse_malformed_inputs(bad):
     with pytest.raises(ParseError) as excinfo:
         parse_presentation(bad)
     assert excinfo.value.line >= 1 and excinfo.value.column >= 1
+
+
+def test_parse_matches_frozen_messages():
+    # Each case holds the exact str(ParseError), or the canonical text of the
+    # parse; they cover every ParseError site, plus seeded randgen
+    # presentations with one character deleted or duplicated.
+    for case in PARSE_CASES:
+        try:
+            pres = parse_presentation(case["text"])
+        except ParseError as exc:
+            assert str(exc) == case["error"], case["text"][:80]
+        else:
+            assert case["error"] is None, case["text"][:80]
+            assert format_presentation(pres) == case["parsed"], case["text"][:80]
 
 
 def test_format_example():
