@@ -69,6 +69,9 @@ def _batch_rows(directory: Path) -> tuple[list[tuple[str, ObstructionReport]],
             rows.append((path.name, report.build_report(_load(path))))
         except (ParseError, UnreadableInput) as exc:
             errors.append((path.name, str(exc)))
+        except Exception as exc:   # e.g. MemoryError: one file never aborts the batch
+            detail = str(exc)
+            errors.append((path.name, type(exc).__name__ + (": " + detail if detail else "")))
     return rows, errors
 
 

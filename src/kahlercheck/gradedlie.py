@@ -13,17 +13,19 @@ Pipeline, all over the rationals:
    coefficients of its series expansion, pushed into the second exterior
    power of the abelianization.  The span W of these relations has
    codimension dim2 = C(q,2) - dim W, the dimension of the second graded
-   piece.
+   piece.  Each relation is one sparse row: this costs the relators, not
+   C(q,2).
 
 3. The graded algebra is then the free two-step algebra on q generators
    modulo W; the bracket of two degree-1 classes is the class of their
    wedge in the quotient.  The dual cochain picture keeps the same data
-   as a differential from a dim2-dimensional space into the wedge square.
+   as a differential from a dim2-dimensional space into the wedge square;
+   both iterate the quotient's sparse rows, read off the RREF of W.
 
-Conventions: wedge coordinates are ordered by linalg.wedge_pairs, and a
-quadratic coefficient matrix q antisymmetrizes to q - q^T (off by an
-overall factor 2 from the normalized commutator coordinates, which does
-not change any span).
+Conventions: wedge coordinates are ordered by linalg.wedge_pairs, with
+the index of a pair found by arithmetic, and a quadratic coefficient
+matrix q antisymmetrizes to q - q^T (off by an overall factor 2 from the
+normalized commutator coordinates, which does not change any span).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb
 
 from . import magnus
 from .linalg import (
@@ -39,10 +42,8 @@ from .linalg import (
     Rref,
     SparseRow,
     alternating_rank,
-    rref,
     rref_and_left_kernel,
-    rref_quotient,
-    wedge_pairs,
+    rref_rows,
 )
 from .presentation import Presentation
 
@@ -56,7 +57,7 @@ class AbelianizationData:
     the left kernel of the exponent matrix.
     """
 
-    series: tuple[magnus.TruncatedSeries2, ...]  # expansion of relator i
+    series: tuple[magnus.Expansion, ...]   # expansion of relator i
     exponent_matrix: RationalMatrix   # s x n, row i = exponent sums of relator i
     rank: int                         # k
     kernel: tuple[tuple[int, ...], ...]   # s - k rows, one combination each
@@ -90,21 +91,15 @@ def abelianization_data(pres: Presentation) -> AbelianizationData:
     matrix = RationalMatrix.from_rows([x.linear for x in series], pres.n)
     reduced, kernel = rref_and_left_kernel(matrix)
     return AbelianizationData(series, matrix, reduced.rank, kernel,
-                              rref_quotient(reduced))
+                              QuotientBasis(reduced))
 
 
 @dataclass(frozen=True)
 class CommutatorRelations:
     """Degree-2 layer: images of the kernel combinations in the wedge square."""
 
-    matrix: RationalMatrix   # C(q,2) x dim_kernel, one column per combination
-    reduced: Rref            # RREF of matrix^T; its nonzero rows span W
-
-    @property
-    def relation_basis(self) -> RationalMatrix:
-        """dim_relations x C(q,2), the RREF row basis of W."""
-        return RationalMatrix(self.reduced.matrix.entries[: self.dim_relations],
-                              self.matrix.rows)
+    reduced: Rref        # RREF of the images; its rows span W in C(q,2) columns
+    combinations: int    # dim ker d0, one image each
 
     @property
     def dim_relations(self) -> int:
@@ -113,68 +108,52 @@ class CommutatorRelations:
     @property
     def dim_kernel(self) -> int:
         """Combinations mapping to zero."""
-        return self.matrix.cols - self.reduced.rank
+        return self.combinations - self.reduced.rank
 
     @property
     def dim2(self) -> int:
-        wedge_dim = self.matrix.rows
-        return wedge_dim - self.dim_relations
+        return self.reduced.cols - self.dim_relations
 
 
 def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
     """Wedge-square relation space spanned by the kernel combinations.
 
-    For a combination lambda, the quadratic coefficient matrices of the
-    relator expansions are combined, antisymmetrized, and pushed forward
-    along the abelianization coordinates: B = C (Q - Q^T) C^T.  This is
-    computed sparsely: each relator's wedge image q_ij - q_ji (i < j) is
-    taken once, the images are combined in wedge coordinates, and each
-    nonzero c on (i, j) adds c * C[a][i] * C[b][j] to the pair (a, b) of
-    the quotient, with the sign flipped when a > b.
+    For a combination lambda, the relators' wedge images q_ij - q_ji are
+    combined and pushed forward along the abelianization coordinates C:
+    each nonzero c on (i, j) adds c * C[a][i] * C[b][j] to the pair (a, b)
+    of the quotient, with the sign flipped when a > b.  This is the dense
+    B = C (Q - Q^T) C^T read on the pairs a < b, made as one sparse row
+    per combination and eliminated as it is.
     """
-    images = [_wedge_image(x.quadratic) for x in ab.series]
     support: list[list[tuple[int, Fraction]]] = [[] for _ in range(ab.n)]
-    for a, row in enumerate(ab.quotient.rows):    # column i of the q x n coordinates
+    for a, row in enumerate(ab.quotient):    # column i of the q x n coordinates
         for i, x in row:
             support[i].append((a, x))
-    pairs_q = wedge_pairs(ab.q)
-    columns: list[dict[tuple[int, int], Fraction]] = []
+    first = _wedge_first(ab.q)
+    images = []
     for combination in ab.kernel:
         combined: dict[tuple[int, int], int] = {}
-        for lam, image in zip(combination, images):
+        for lam, series in zip(combination, ab.series):
             if lam:
-                for pair, c in image.items():
+                for pair, c in series.wedge.items():
                     combined[pair] = combined.get(pair, 0) + lam * c
-        pushed: dict[tuple[int, int], Fraction] = {}
+        pushed: dict[int, Fraction] = {}
         for (i, j), c in combined.items():
             if not c:
                 continue
             for a, x in support[i]:
                 for b, y in support[j]:
                     if a < b:
-                        pushed[a, b] = pushed.get((a, b), 0) + c * x * y
+                        pushed[first[a] + b] = pushed.get(first[a] + b, 0) + c * x * y
                     elif a > b:
-                        pushed[b, a] = pushed.get((b, a), 0) - c * x * y
-        columns.append(pushed)
-    matrix = RationalMatrix.from_rows(
-        [[col.get(pair, 0) for col in columns] for pair in pairs_q],
-        len(columns),
-    )
-    return CommutatorRelations(matrix, rref(matrix.transpose()))
+                        pushed[first[b] + a] = pushed.get(first[b] + a, 0) - c * x * y
+        images.append(pushed)
+    return CommutatorRelations(rref_rows(images, comb(ab.q, 2)), len(images))
 
 
-def _wedge_image(
-        quadratic: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], int]:
-    """Nonzero antisymmetrized coefficients q_ij - q_ji, keyed by (i, j), i < j."""
-    n = len(quadratic)
-    image = {}
-    for i in range(n):
-        row = quadratic[i]
-        for j in range(i + 1, n):
-            c = row[j] - quadratic[j][i]
-            if c:
-                image[i, j] = c
-    return image
+def _wedge_first(q: int) -> list[int]:
+    """first[i], with first[i] + j the wedge_pairs(q) index of (i, j), i < j."""
+    return [i * q - i * (i + 1) // 2 - i - 1 for i in range(q)]
 
 
 @dataclass(frozen=True)
@@ -184,23 +163,27 @@ class GradedLie2:
     The degree-2 piece is the wedge square modulo the relation space,
     ``quotient``.  The bracket of the degree-1 basis classes on wedge
     pair p has coordinate x in degree-2 basis class f exactly when row f
-    of ``quotient.rows`` holds (p, x); so the rows are the columns of
-    the C(dim1,2) x dim2 bracket matrix, kept sparse.
+    of ``quotient`` holds (p, x); so its rows are the columns of the
+    C(dim1,2) x dim2 bracket matrix, kept sparse.
     """
 
     dim1: int
     quotient: QuotientBasis      # C(dim1,2)-dimensional ambient modulo W
-    relations: RationalMatrix    # dim_W x C(dim1,2)
 
     @property
     def dim2(self) -> int:
         return self.quotient.dim
 
+    @property
+    def relations(self) -> tuple[SparseRow, ...]:
+        """The RREF rows of W, dim_W of them, in C(dim1,2) columns."""
+        return self.quotient.reduced.rows
+
 
 def graded_lie_algebra(ab: AbelianizationData,
                        rel: CommutatorRelations) -> GradedLie2:
     """The algebra read off the relation space's RREF, without eliminating again."""
-    return GradedLie2(ab.q, rref_quotient(rel.reduced), rel.relation_basis)
+    return GradedLie2(ab.q, QuotientBasis(rel.reduced))
 
 
 def is_free_two_step(rel: CommutatorRelations) -> bool:
@@ -226,16 +209,18 @@ def classify_single_relator(pres: Presentation) -> RelatorClass:
     return classify_relator_series(magnus.expand(pres.relators[0], pres.n))
 
 
-def classify_relator_series(series: magnus.TruncatedSeries2) -> RelatorClass:
+def classify_relator_series(series: magnus.Expansion) -> RelatorClass:
     """Lower central series depth of a relator, read from its expansion.
 
     The filtration of a free group by the lower central series matches
     the filtration by powers of the augmentation ideal, so the degree-2
-    series data decides membership up to depth 3.
+    series data decides membership up to depth 3.  With L = 0 the
+    quadratic part Q has Q + Q^T = L L^T - diag(L) = 0, so it vanishes
+    exactly when its wedge image does.
     """
     if any(series.linear):
         return RelatorClass.NOT_IN_GAMMA2
-    if any(any(row) for row in series.quadratic):
+    if series.wedge:
         return RelatorClass.IN_GAMMA2_NOT_GAMMA3
     return RelatorClass.IN_GAMMA3
 
@@ -245,12 +230,19 @@ def surface_genus(grl: GradedLie2) -> int | None:
 
     Requires dim1 = 2g, a single degree-2 relation, and that relation of
     full alternating rank 2g; the rank classifies the relation up to a
-    change of degree-1 basis.
+    change of degree-1 basis.  A form of full rank touches every index,
+    so a relation that does not is rejected before the form is built.
     """
     q = grl.dim1
-    if q < 2 or q % 2 or grl.relations.rows != 1:
+    relations = grl.relations
+    if q < 2 or q % 2 or len(relations) != 1 or 2 * len(relations[0]) < q:
         return None
-    if alternating_rank(grl.relations.row(0), q) != q:
+    first, form, i = _wedge_first(q), {}, 0
+    for c, x in relations[0]:          # in column order
+        while c >= first[i] + q:       # past (i, q - 1)
+            i += 1
+        form[i, c - first[i]] = x
+    if len({k for pair in form for k in pair}) < q or alternating_rank(form, q) != q:
         return None
     return q // 2
 
@@ -269,10 +261,10 @@ class ModelStage:
 
     dim_v1: int
     dim_v2: int
-    differential: tuple[SparseRow, ...]   # dim_v2 rows of width C(dim_v1,2)
+    differential: QuotientBasis   # iterates dim_v2 rows of width C(dim_v1,2)
 
 
 def minimal_model_stage(grl: GradedLie2) -> ModelStage:
     """The dual stage: its differential is the bracket matrix transposed,
     which is the degree-2 quotient's coordinate rows as they are."""
-    return ModelStage(grl.dim1, grl.dim2, grl.quotient.rows)
+    return ModelStage(grl.dim1, grl.dim2, grl.quotient)

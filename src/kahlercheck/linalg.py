@@ -1,23 +1,22 @@
-"""Exact linear algebra over the rationals: dense matrices, sparse quotient rows.
+"""Exact linear algebra over the rationals: one sparse elimination.
 
-Matrices hold fractions.Fraction entries, in lowest terms with positive
-denominators, so every rank is exact.  ``rref`` eliminates fraction-free
-over int: each row is scaled to integers, rows are combined by integer
-row operations and divided by the gcd of their entries, and each pivot
-row is divided by its pivot only at the end.  The RREF of a row space is
-unique, so the result is the one Gauss-Jordan elimination over Fraction
-gives.  Pivoting is deterministic (leftmost nonzero column, first
-eligible row) so that all derived bases and reports are reproducible
-byte for byte.
+Every row reduction runs through ``_eliminate``, fraction-free over int
+on sparse rows: rows are scaled to integers, combined by integer row
+operations and divided by the gcd of their entries, and each pivot row
+is divided by its pivot only at the end.  A row costs its nonzeros,
+however wide the space.  The RREF of a row space is unique, so the
+result is the one Gauss-Jordan elimination over Fraction gives, in any
+row order, and reports are reproducible byte for byte.  Dense
+``RationalMatrix`` values hold the s x n exponent matrix and the oracle
+route's joint span.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -42,27 +41,9 @@ class RationalMatrix:
             cols = len(data[0])
         return RationalMatrix(data, cols)
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RationalMatrix":
-        z = Fraction(0)
-        return RationalMatrix(((z,) * cols,) * rows, cols)
-
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            ),
-            n,
-        )
-
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
@@ -93,24 +74,35 @@ class RationalMatrix:
         return RationalMatrix(self.entries + other.entries, self.cols)
 
 
+# A sparse row: its nonzero entries as (column, value), in column order.
+SparseRow = tuple[tuple[int, Fraction], ...]
+
+
 @dataclass(frozen=True)
 class Rref:
-    matrix: RationalMatrix
-    rank: int
+    """Reduced row-echelon form of a row space, as its nonzero rows.
+
+    Row i has a 1 at column pivots[i], the leftmost of its nonzeros, and
+    a zero at every other pivot column.
+    """
+
+    rows: tuple[SparseRow, ...]
     pivots: tuple[int, ...]
+    cols: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
 def rref(matrix: RationalMatrix) -> Rref:
-    """Reduced row-echelon form by fraction-free elimination over int.
+    """Reduced row-echelon form of a dense matrix's rows."""
+    return rref_rows((dict(enumerate(row)) for row in matrix.entries), matrix.cols)
 
-    Each row is scaled to integers, rows are combined by integer row
-    operations, and only at the end is each pivot row divided by its
-    pivot.  The RREF of a row space is unique, so this is the matrix
-    Gauss-Jordan elimination over Fraction gives.
-    """
-    rows = [_integer_row(row) for row in matrix.entries]
-    pivots = _eliminate(rows, matrix.cols)
-    return _normalized(rows, pivots, matrix.cols)
+
+def rref_rows(rows: Iterable[Mapping[int, Fraction | int]], cols: int) -> Rref:
+    """Reduced row-echelon form of sparse rows, given as column -> value maps."""
+    return _normalized(_eliminate(_integer_row(row) for row in rows), cols)
 
 
 def rref_and_left_kernel(
@@ -118,71 +110,76 @@ def rref_and_left_kernel(
     """The RREF of M and an integer basis of its left kernel, from one elimination.
 
     Row i of M is eliminated as [d M_i | d e_i], with d the lcm of its
-    denominators.  The first M.cols columns reduce as ``rref(M)`` would.
-    The rows left zero there hold, in their last M.rows entries,
-    independent integer combinations lambda with lambda M = 0, one per
-    row beyond the rank.
+    denominators.  The pivot rows inside the first M.cols columns reduce
+    as ``rref(M)`` would.  The others are zero there and hold, in their
+    last M.rows entries, independent integer combinations lambda with
+    lambda M = 0, one per row beyond the rank.
     """
     n, s = matrix.cols, matrix.rows
-    rows = [_integer_row((*row, *(0,) * i, 1, *(0,) * (s - 1 - i)))
-            for i, row in enumerate(matrix.entries)]
-    pivots = _eliminate(rows, n + s)
-    k = bisect_left(pivots, n)
-    kernel = tuple(tuple(row[n:]) for row in rows[k:])
-    return _normalized(rows, pivots[:k], n), kernel
+    reduced = _eliminate(_integer_row({**dict(enumerate(row)), n + i: 1})
+                         for i, row in enumerate(matrix.entries))
+    kernel = tuple(tuple(reduced[p].get(n + i, 0) for i in range(s))
+                   for p in sorted(reduced) if p >= n)
+    left = {p: {c: x for c, x in row.items() if c < n}
+            for p, row in reduced.items() if p < n}
+    return _normalized(left, n), kernel
 
 
-def _normalized(rows: list[list[int]], pivots: list[int], n_cols: int) -> Rref:
-    """The first n_cols columns of eliminated rows, each pivot row divided
-    by its pivot; the rows past the pivots are zero there."""
-    zero = Fraction(0)
-    reduced = [tuple(Fraction(x, row[c]) if x else zero for x in row[:n_cols])
-               for row, c in zip(rows, pivots)]
-    reduced.extend([(zero,) * n_cols] * (len(rows) - len(pivots)))
-    return Rref(RationalMatrix(tuple(reduced), n_cols), len(pivots), tuple(pivots))
+def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
+    """The nonzero entries times the lcm of their denominators: integers,
+    same direction."""
+    den = lcm(*[x.denominator for x in row.values()])
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
 
 
-def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
-    """The row times the lcm of its denominators: integers, same direction."""
-    den = lcm(*[x.denominator for x in row])
-    if den == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (den // x.denominator) for x in row]
+def _eliminate(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Gauss-Jordan elimination of sparse integer rows; pivot column -> row.
 
-
-def _eliminate(rows: list[list[int]], n_cols: int) -> list[int]:
-    """Bring integer rows to reduced echelon shape in place; return the pivots.
-
-    Pivoting takes the leftmost nonzero column and the first eligible
-    row.  Every other row with a nonzero in the pivot column is replaced
-    by an integer combination with the pivot row that clears it, divided
-    by the gcd of its entries.  Pivots are left unnormalized.
+    Each incoming row is cleared at the pivot columns found so far.  What
+    is left of it, if anything, becomes the pivot row of its leftmost
+    column, which is then cleared from the earlier pivot rows.  Every
+    pivot row keeps its leftmost nonzero at its pivot and is zero at the
+    other pivots.  Pivots are left unnormalized.
     """
-    n_rows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(n_rows):
-            a = rows[i][c]
-            if a and i != r:
-                g = gcd(p, a)
-                pg, ag = p // g, a // g
-                row = [pg * x - ag * y for x, y in zip(rows[i], prow)]
-                content = gcd(*row)
-                if content > 1:
-                    row = [x // content for x in row]
-                rows[i] = row
-        pivots.append(c)
-        r += 1
-    return pivots
+    reduced: dict[int, dict[int, int]] = {}
+    for row in rows:
+        for c in [c for c in row if c in reduced]:
+            row = _cleared(row, c, reduced[c])
+        if row:
+            p = min(row)
+            for c, other in reduced.items():
+                if p in other:
+                    reduced[c] = _cleared(other, p, row)
+            reduced[p] = row
+    return reduced
+
+
+def _cleared(row: dict[int, int], c: int, prow: dict[int, int]) -> dict[int, int]:
+    """The integer combination of row and prow that is zero at column c,
+    divided by the gcd of its entries."""
+    g = gcd(prow[c], row[c])
+    pg, ag = prow[c] // g, row[c] // g
+    out = {k: pg * x for k, x in row.items()}
+    for k, y in prow.items():
+        z = out.get(k, 0) - ag * y
+        if z:
+            out[k] = z
+        else:
+            del out[k]
+    content = gcd(*out.values())
+    if content > 1:
+        out = {k: x // content for k, x in out.items()}
+    return out
+
+
+def _normalized(reduced: dict[int, dict[int, int]], cols: int) -> Rref:
+    """Pivot rows in pivot order, each divided by its pivot entry."""
+    pivots = sorted(reduced)
+    rows = []
+    for p in pivots:
+        row = reduced[p]
+        rows.append(tuple((c, Fraction(row[c], row[p])) for c in sorted(row)))
+    return Rref(tuple(rows), tuple(pivots), cols)
 
 
 def rank(matrix: RationalMatrix) -> int:
@@ -199,94 +196,79 @@ def nullspace(matrix: RationalMatrix) -> RationalMatrix:
     return quotient_basis(matrix, matrix.cols).coords.transpose()
 
 
-# A sparse row: its nonzero entries as (column, value), in column order.
-SparseRow = tuple[tuple[int, Fraction], ...]
-
-
 @dataclass(frozen=True)
 class QuotientBasis:
-    """A basis of an ambient space modulo a relation row space.
+    """A basis of an ambient space modulo the row space of an RREF.
 
     The chosen quotient basis is the classes of the ambient basis
-    vectors at the non-pivot columns.  ``rows`` holds, per basis class,
-    the sparse row of the (dim x ambient) coordinate matrix that sends
-    an ambient vector to its coordinates in that basis; the coordinates
-    kill the relation rows exactly.  Read off an RREF with pivots P, the
-    row of free column f is 1 at f and -rref[i][f] at each pivot P[i],
-    so it has at most rank + 1 nonzeros.
+    vectors at the non-pivot columns.  Iterating yields, per basis
+    class, the sparse row of the (dim x ambient) coordinate matrix that
+    sends an ambient vector to its coordinates in that basis; the
+    coordinates kill the relation rows exactly.  The row of free column
+    f is 1 at f and -rref[i][f] at each pivot P[i]; a free column that
+    no RREF row touches is a unit row.  The rows are made only when
+    iterated, so the basis itself costs the RREF alone.
     """
 
-    ambient_dim: int
-    pivots: tuple[int, ...]
-    rows: tuple[SparseRow, ...]
+    reduced: Rref
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim - len(self.pivots)
+        return self.reduced.cols - self.reduced.rank
+
+    def __iter__(self) -> Iterator[SparseRow]:
+        red = self.reduced
+        touched: dict[int, list[tuple[int, Fraction]]] = {}
+        for p, row in zip(red.pivots, red.rows):
+            for f, x in row:
+                if f != p:
+                    touched.setdefault(f, []).append((p, -x))
+        pivots, one = set(red.pivots), Fraction(1)
+        for f in range(red.cols):
+            if f not in pivots:
+                yield tuple(sorted([*touched.get(f, ()), (f, one)]))
 
     @property
     def coords(self) -> RationalMatrix:
         """The coordinate matrix, dense."""
         dense = []
-        for row in self.rows:
-            entries = [Fraction(0)] * self.ambient_dim
+        for row in self:
+            entries = [Fraction(0)] * self.reduced.cols
             for c, x in row:
                 entries[c] = x
             dense.append(tuple(entries))
-        return RationalMatrix(tuple(dense), self.ambient_dim)
-
-    def coordinates(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        if len(vector) != self.ambient_dim:
-            raise ValueError("vector length does not match the ambient dimension")
-        return tuple(sum((x * vector[c] for c, x in row), Fraction(0))
-                     for row in self.rows)
+        return RationalMatrix(tuple(dense), self.reduced.cols)
 
 
 def quotient_basis(relations: RationalMatrix, ambient_dim: int) -> QuotientBasis:
     if relations.cols != ambient_dim:
         raise ValueError("relation rows must live in the ambient space")
-    return rref_quotient(rref(relations))
-
-
-def rref_quotient(red: Rref) -> QuotientBasis:
-    """The quotient basis modulo the row space of an already reduced matrix."""
-    ambient_dim = red.matrix.cols
-    reduced = red.matrix.entries
-    pivot_set = set(red.pivots)
-    rows = []
-    for f in range(ambient_dim):
-        if f in pivot_set:
-            continue
-        row = [(p, -reduced[i][f]) for i, p in enumerate(red.pivots) if reduced[i][f]]
-        row.append((f, Fraction(1)))
-        row.sort()
-        rows.append(tuple(row))
-    return QuotientBasis(ambient_dim, red.pivots, tuple(rows))
+    return QuotientBasis(rref(relations))
 
 
 def wedge_pairs(q: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (i, j) with i < j, in lexicographic order.
 
     This fixes the basis ordering of the second exterior power used
-    throughout the package.
+    throughout the package: pair (i, j) has index first[i] + j, with
+    first[i] = i*q - i*(i+1)/2 - i - 1.
     """
     return tuple((i, j) for i in range(q) for j in range(i + 1, q))
 
 
-def alternating_rank(coefficients: Sequence[Fraction | int], q: int) -> int:
-    """Rank of the antisymmetric q x q matrix with the given upper entries.
+def alternating_rank(form: Mapping[tuple[int, int], Fraction | int], q: int) -> int:
+    """Rank of the antisymmetric q x q matrix with entries form[i, j], i < j.
 
-    ``coefficients`` lists the entries on the pairs from wedge_pairs(q);
-    the rank of an antisymmetric matrix is always even.
+    The matrix is built as q sparse rows from the entries given; the rank
+    of an antisymmetric matrix is always even.
     """
-    pairs = wedge_pairs(q)
-    if len(coefficients) != len(pairs):
-        raise ValueError("expected one coefficient per pair (i, j), i < j")
-    m = [[Fraction(0)] * q for _ in range(q)]
-    for (i, j), c in zip(pairs, coefficients):
-        m[i][j] = Fraction(c)
-        m[j][i] = -Fraction(c)
-    return rank(RationalMatrix.from_rows(m, q))
+    rows: list[dict[int, Fraction | int]] = [{} for _ in range(q)]
+    for (i, j), c in form.items():
+        if not 0 <= i < j < q:
+            raise ValueError(f"({i}, {j}) is not a pair i < j of indices below {q}")
+        rows[i][j] = c
+        rows[j][i] = -c
+    return rref_rows(rows, q).rank
 
 
 def row_space_contains(matrix: RationalMatrix, vector: Sequence[Fraction | int]) -> bool:

@@ -10,7 +10,7 @@ is the degree-2 Campbell-Hausdorff formula; powers are simply
 coded route to the degree-2 invariants computed by the series pipeline,
 used for cross-checking; it shares no code with the series expansion.
 
-``evaluate`` applies the same law to integer pairs (v, 2w): a word's
+``evaluate`` applies that law to integer pairs (v, 2w): a word's
 image has an integer v, and 2w stays integral because each generator
 power factor m e_g adds v ^ m e_g to it.  The result is converted to
 Fractions once, at the end.
@@ -40,46 +40,6 @@ class NilpotentElement:
     def __post_init__(self) -> None:
         if len(self.abelian) != self.n or len(self.commutator) != comb(self.n, 2):
             raise ValueError("component lengths do not match n")
-
-    def __mul__(self, other: "NilpotentElement") -> "NilpotentElement":
-        if self.n != other.n:
-            raise ValueError("mixed ranks")
-        half_wedge = _wedge(self.abelian, other.abelian, self.n)
-        return NilpotentElement(
-            self.n,
-            tuple(a + b for a, b in zip(self.abelian, other.abelian)),
-            tuple(
-                w1 + w2 + hw / 2
-                for w1, w2, hw in zip(self.commutator, other.commutator, half_wedge)
-            ),
-        )
-
-    def inverse(self) -> "NilpotentElement":
-        return NilpotentElement(
-            self.n,
-            tuple(-a for a in self.abelian),
-            tuple(-w for w in self.commutator),
-        )
-
-    def power(self, m: int) -> "NilpotentElement":
-        return NilpotentElement(
-            self.n,
-            tuple(m * a for a in self.abelian),
-            tuple(m * w for w in self.commutator),
-        )
-
-
-def identity(n: int) -> NilpotentElement:
-    z = Fraction(0)
-    return NilpotentElement(n, (z,) * n, (z,) * comb(n, 2))
-
-
-def generator(index: int, n: int) -> NilpotentElement:
-    if not 0 <= index < n:
-        raise ValueError(f"generator index {index} out of range for n={n}")
-    z = Fraction(0)
-    abelian = tuple(Fraction(1) if i == index else z for i in range(n))
-    return NilpotentElement(n, abelian, (z,) * comb(n, 2))
 
 
 def evaluate(word: Word, n: int) -> NilpotentElement:

@@ -248,7 +248,10 @@ def _digits(n: int) -> str:
 
 
 def format_presentation(pres: Presentation) -> str:
-    """Render in the input format; parse(format(p)) == p for normalized p."""
+    """Render in the input format; parse(format(p)) == p for normalized p
+    whose exponents are within the parser's digit limit (4300 by default).
+    A merged power past it, as in x^N x^N with N of 4300 digits, prints in
+    full and does not parse back."""
     gens = "gens:"
     if pres.generators:
         gens += " " + " ".join(pres.generators)

@@ -1,17 +1,143 @@
-"""Test-local independent computations used to freeze expected values."""
+"""Test-local independent computations used to freeze expected values,
+among them the dense references ``magnus.expand`` and ``nilpotent.evaluate``
+are checked against: the truncated series product and the group law."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from kahlercheck import magnus
 from kahlercheck.gradedlie import abelianization_data
-from kahlercheck.linalg import RationalMatrix, Rref, rank, wedge_pairs
+from kahlercheck.linalg import RationalMatrix, rank, wedge_pairs
+from kahlercheck.nilpotent import NilpotentElement
+
+Rat = Fraction | int
+
+
+@dataclass(frozen=True)
+class TruncatedSeries2:
+    """Linear and quadratic coefficients of a constant-free series."""
+
+    n: int
+    linear: tuple[Rat, ...]
+    quadratic: tuple[tuple[Rat, ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.linear) != self.n or len(self.quadratic) != self.n or any(
+            len(row) != self.n for row in self.quadratic
+        ):
+            raise ValueError("coefficient shapes do not match n")
+
+    @staticmethod
+    def zero(n: int) -> "TruncatedSeries2":
+        z = Fraction(0)
+        return TruncatedSeries2(n, (z,) * n, ((z,) * n,) * n)
+
+    def is_zero(self) -> bool:
+        return not any(self.linear) and not any(any(row) for row in self.quadratic)
+
+    def antisymmetrized(self) -> tuple[Rat, ...]:
+        """Coefficients q_ij - q_ji on the pairs (i, j), i < j, in lex order."""
+        q = self.quadratic
+        return tuple(
+            q[i][j] - q[j][i] for i in range(self.n) for j in range(i + 1, self.n)
+        )
+
+
+def truncated_mul(a: TruncatedSeries2, b: TruncatedSeries2,
+                  a0: Rat = 1, b0: Rat = 1) -> TruncatedSeries2:
+    """Degree-2 part of (a0 + a)(b0 + b) - a0*b0.
+
+    a0 and b0 are the constant terms of the full series; images of group
+    elements have constant term 1.
+    """
+    if a.n != b.n:
+        raise ValueError(f"mixed generator counts {a.n} and {b.n}")
+    a0 = Fraction(a0)
+    b0 = Fraction(b0)
+    linear = tuple(a0 * lb + b0 * la for la, lb in zip(a.linear, b.linear))
+    quadratic = tuple(
+        tuple(
+            a0 * b.quadratic[i][j] + b0 * a.quadratic[i][j] + a.linear[i] * b.linear[j]
+            for j in range(a.n)
+        )
+        for i in range(a.n)
+    )
+    return TruncatedSeries2(a.n, linear, quadratic)
+
+
+def generator_power(index: int, m: int, n: int) -> TruncatedSeries2:
+    """Expansion of (1 + X_index)^m - 1, valid for any integer m.
+
+    The quadratic coefficient m(m-1)/2 is the binomial one, which also
+    gives the geometric-series signs for negative m.
+    """
+    if not 0 <= index < n:
+        raise ValueError(f"generator index {index} out of range for n={n}")
+    z = Fraction(0)
+    linear = tuple(Fraction(m) if i == index else z for i in range(n))
+    coeff = Fraction(m * (m - 1), 2)
+    quadratic = tuple(
+        tuple(coeff if (i == index and j == index) else z for j in range(n))
+        for i in range(n)
+    )
+    return TruncatedSeries2(n, linear, quadratic)
+
+
+def dense_expand(letters, n):
+    """The truncated series of a letter sequence: the fold of its generator powers."""
+    acc = TruncatedSeries2.zero(n)
+    for g, e in letters:
+        acc = truncated_mul(acc, generator_power(g, e, n))
+    return acc
+
+
+def wedge_dict(coefficients, n):
+    """The nonzero coefficients on wedge_pairs(n), keyed by pair."""
+    return {pair: c for pair, c in zip(wedge_pairs(n), coefficients) if c}
+
+
+def element_mul(a, b):
+    """(v, w) * (v', w') = (v + v', w + w' + (1/2) v ^ v')."""
+    if a.n != b.n:
+        raise ValueError("mixed ranks")
+    half_wedge = tuple(a.abelian[i] * b.abelian[j] - a.abelian[j] * b.abelian[i]
+                       for i, j in wedge_pairs(a.n))
+    return NilpotentElement(
+        a.n,
+        tuple(x + y for x, y in zip(a.abelian, b.abelian)),
+        tuple(w1 + w2 + hw / 2
+              for w1, w2, hw in zip(a.commutator, b.commutator, half_wedge)),
+    )
+
+
+def element_inverse(a):
+    return NilpotentElement(a.n, tuple(-x for x in a.abelian),
+                            tuple(-w for w in a.commutator))
+
+
+def element_power(a, m):
+    return NilpotentElement(a.n, tuple(m * x for x in a.abelian),
+                            tuple(m * w for w in a.commutator))
+
+
+def identity(n):
+    z = Fraction(0)
+    return NilpotentElement(n, (z,) * n, (z,) * comb(n, 2))
+
+
+def generator(index, n):
+    if not 0 <= index < n:
+        raise ValueError(f"generator index {index} out of range for n={n}")
+    z = Fraction(0)
+    abelian = tuple(Fraction(1) if i == index else z for i in range(n))
+    return NilpotentElement(n, abelian, (z,) * comb(n, 2))
 
 
 def gauss_jordan_rref(matrix):
     """Reduced row-echelon form by Gauss-Jordan elimination over Fraction.
 
-    The textbook elimination: the pivot row is divided by its pivot, then
+    Returns the reduced matrix, zero rows included, and its pivots.  The
+    textbook elimination: the pivot row is divided by its pivot, then
     subtracted from every other row, all in Fraction arithmetic.  Pivoting
     takes the leftmost nonzero column and the first eligible row.
     """
@@ -34,8 +160,7 @@ def gauss_jordan_rref(matrix):
         r += 1
         if r == n_rows:
             break
-    reduced = RationalMatrix(tuple(tuple(row) for row in rows), n_cols)
-    return Rref(reduced, len(pivots), tuple(pivots))
+    return RationalMatrix(tuple(tuple(row) for row in rows), n_cols), tuple(pivots)
 
 
 def jointspan_dim2(pres):
@@ -44,12 +169,13 @@ def jointspan_dim2(pres):
     Spans the wedges of each relator's exponent vector with every
     coordinate vector together with the antisymmetrized quadratic parts
     of the kernel combinations, then takes the codimension.  No quotient
-    pushforward is involved, so this is a genuinely different route from
+    pushforward is involved, and the expansions are the dense
+    ``truncated_mul`` folds, so this is a genuinely different route from
     the pipeline's.
     """
     n = pres.n
     pairs = wedge_pairs(n)
-    expansions = [magnus.expand(r, n) for r in pres.relators]
+    expansions = [dense_expand(r.letters, n) for r in pres.relators]
     rows = []
     for e in expansions:
         lin = e.linear
@@ -72,21 +198,23 @@ def jointspan_dim2(pres):
     return comb(n, 2) - rank(span)
 
 
-def dense_commutator_matrix(ab):
+def dense_commutator_matrix(pres):
     """The degree-2 relation matrix by the dense formula B = C (Q - Q^T) C^T.
 
-    One column per kernel combination lambda: the relators' quadratic
-    coefficient matrices are combined with lambda, antisymmetrized and
+    One column per kernel combination lambda of ``abelianization_data``:
+    the relators' dense quadratic coefficient matrices (the
+    ``truncated_mul`` folds) are combined with lambda, antisymmetrized and
     pushed forward by two dense products with the quotient coordinates
     C, and B is read off on the wedge pairs.
     """
+    ab = abelianization_data(pres)
     n, q = ab.n, ab.q
     coords = ab.quotient.coords
+    quadratic = [dense_expand(rel.letters, n).quadratic for rel in pres.relators]
     columns = []
     for lam in ab.kernel:
         combined = [
-            [sum((lam[r] * ab.series[r].quadratic[i][j] for r in range(ab.s)),
-                 Fraction(0))
+            [sum((lam[r] * quadratic[r][i][j] for r in range(ab.s)), Fraction(0))
              for j in range(n)]
             for i in range(n)
         ]
@@ -145,3 +273,8 @@ def oracle_dict(doc):
         ],
         "overall": doc.overall.value,
     }
+
+
+def coordinates(basis, vector):
+    """An ambient vector's coordinates in a quotient basis, by the dense product."""
+    return (basis.coords @ RationalMatrix.from_rows([[x] for x in vector], 1)).column(0)

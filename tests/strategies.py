@@ -60,3 +60,11 @@ def rational_matrices(draw, max_dim: int = 5):
         for _ in range(rows)
     ]
     return RationalMatrix.from_rows(entries, cols)
+
+
+def identity_matrix(n: int) -> RationalMatrix:
+    return RationalMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def zero_matrix(rows: int, cols: int) -> RationalMatrix:
+    return RationalMatrix.from_rows([[0] * cols for _ in range(rows)], cols)

@@ -25,7 +25,7 @@ from kahlercheck.presentation import Presentation, Word, parse_presentation
 
 import cases
 import randgen
-from oracles import jointspan_dim2
+from oracles import jointspan_dim2, wedge_dict
 
 
 def not_kahler_theorems(report):
@@ -133,7 +133,7 @@ def test_criterion_09_oracle_equivalence():
         series = magnus.expand(word, n)
         value = nilpotent.evaluate(word, n)
         assert series.linear == value.abelian
-        assert series.antisymmetrized() == tuple(2 * w for w in value.commutator)
+        assert series.wedge == wedge_dict([2 * w for w in value.commutator], n)
     for name, text in CORPUS:
         pres = parse_presentation(text)
         assert nilpotent.commutator_quotient_dim(pres) == evaluate(pres).dim2, name

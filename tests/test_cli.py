@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kahlercheck import nilpotent
+from kahlercheck import nilpotent, report
 from kahlercheck.cli import main
 from kahlercheck.fixtures import (
     CORPUS,
@@ -275,6 +275,27 @@ def test_analyze_report_numbers_past_int_digit_limit(tmp_path):
     assert code == 0 and len(out.splitlines()) == 3
 
 
+def test_analyze_wide_presentations(tmp_path):
+    # C(q,2) is 12,497,500 and 1,999,000 here, but the degree-2 work is one
+    # sparse relation: nothing of the wedge square's size is built
+    gens = " ".join(f"x{i}" for i in range(5000))
+    wide = write(tmp_path, f"gens: {gens}\nrels: (x0,x1)\n", "wide.pres")
+    start = time.perf_counter()
+    code, out, err = run(["analyze", str(wide)])
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    assert "  dim W = 1\n  dim Gamma2/Gamma3 = 12497499\n" in out
+    assert "  surface genus match: none\n" in out
+    assert "  dim V1 = 5000  dim V2 = 12497499\n" in out
+    surface = write(tmp_path, surface_text(1000), "surface.pres")
+    start = time.perf_counter()
+    code, out, err = run(["analyze", str(surface)])
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    assert "  dim Gamma2/Gamma3 = 1998999\n" in out
+    assert "  surface genus match: 1000\n" in out
+
+
 def test_analyze_is_deterministic(corpus_dir):
     path = str(corpus_dir / "chain_plus_power.pres")
     first = run(["analyze", path, "--json", "--explain"])
@@ -334,6 +355,35 @@ def test_batch_reports_unreadable_file(corpus_dir, monkeypatch):
     assert (f"error: surface_g2.pres: cannot read {target}: Permission denied"
             in out.splitlines())
     assert "line 0" not in out
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "MemoryError"),
+    (report.ReportInvariantError("consistency check failed: q = n - k"),
+     "ReportInvariantError: consistency check failed: q = n - k"),
+])
+def test_batch_records_any_per_file_exception(tmp_path, monkeypatch, exc, message):
+    # one file of three fails inside the analysis; the others keep their rows
+    write(tmp_path, "gens: x y\nrels: (x,y)\n", "a.pres")
+    write(tmp_path, "gens: x y z\nrels: x y z\n", "b.pres")
+    write(tmp_path, "gens: x\nrels: x^2\n", "c.pres")
+    build_report = report.build_report
+
+    def failing(pres):
+        if pres.n == 3:
+            raise exc
+        return build_report(pres)
+    monkeypatch.setattr(report, "build_report", failing)
+    code, out, err = run(["batch", str(tmp_path)])
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[1:3]] == ["a.pres", "c.pres"]
+    assert lines[3:] == [f"error: b.pres: {message}"]
+    code, out, err = run(["batch", str(tmp_path), "--json"])
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert [row["name"] for row in doc["rows"]] == ["a.pres", "c.pres"]
+    assert doc["errors"] == [{"name": "b.pres", "error": message}]
 
 
 def test_batch_json(corpus_dir):

@@ -18,8 +18,14 @@ from kahlercheck.linalg import RationalMatrix, quotient_basis, rank
 from kahlercheck.presentation import Presentation, Word, parse_presentation
 
 import cases
-from oracles import dense_commutator_matrix, densify, jointspan_dim2
-from strategies import presentations
+from oracles import (
+    coordinates,
+    dense_commutator_matrix,
+    densify,
+    gauss_jordan_rref,
+    jointspan_dim2,
+)
+from strategies import identity_matrix, presentations
 
 
 def pipeline(pres):
@@ -44,9 +50,9 @@ def test_degree1_chain_plus_power():
     ab = abelianization_data(cases.CHAIN_PLUS_POWER)
     assert ab.rank == 1 and ab.q == 4 and ab.dim_kernel == 4
     assert rank(ab.exponent_matrix) == 1
-    assert ab.quotient.pivots == (0,)
+    assert ab.quotient.reduced.pivots == (0,)
     # row space is spanned by (2, -2, 0, 2, 0)
-    assert ab.quotient.coordinates((2, -2, 0, 2, 0)) == (0, 0, 0, 0)
+    assert coordinates(ab.quotient, (2, -2, 0, 2, 0)) == (0, 0, 0, 0)
 
 
 @given(presentations())
@@ -75,14 +81,17 @@ def test_degree2_surface_group():
     assert ab.dim_kernel == 1
     assert rel.dim_relations == 1 and rel.dim2 == 5
     # the relation is a1^b1 + a2^b2 in the wedge basis
-    assert rel.relation_basis.entries == ((1, 0, 0, 0, 0, 1),)
+    assert densify(rel.reduced.rows, 6).entries == ((1, 0, 0, 0, 0, 1),)
+    assert rel.reduced.rows == (((0, 1), (5, 1)),)
 
 
 def test_degree2_deep_commutator_vanishes():
     ab, rel, _ = pipeline(cases.BRACKET_DEPTH3)
     assert ab.dim_kernel == 1
     assert rel.dim_relations == 0 and rel.dim_kernel == 1
-    assert all(x == 0 for row in rel.matrix.entries for x in row)
+    assert rel.reduced.rows == ()   # every image is zero
+    dense = dense_commutator_matrix(cases.BRACKET_DEPTH3)
+    assert all(x == 0 for row in dense.entries for x in row)
 
 
 def test_degree2_chain_link():
@@ -97,7 +106,7 @@ def test_algebra_of_free_group():
         _, _, grl = pipeline(cases.free_group(n))
         assert grl.dim1 == n and grl.dim2 == comb(n, 2)
         bracket = grl.quotient.coords.transpose()
-        assert bracket.entries == RationalMatrix.identity(comb(n, 2)).entries
+        assert bracket.entries == identity_matrix(comb(n, 2)).entries
 
 
 def test_algebra_two_relator_q4():
@@ -117,8 +126,8 @@ def test_bracket_is_surjective_with_kernel_w():
         _, rel, grl = pipeline(pres)
         bracket_t = grl.quotient.coords
         assert rank(bracket_t) == grl.dim2
-        if rel.relation_basis.rows:
-            image = bracket_t @ rel.relation_basis.transpose()
+        if rel.reduced.rows:
+            image = bracket_t @ densify(rel.reduced.rows, comb(grl.dim1, 2)).transpose()
             assert all(x == 0 for row in image.entries for x in row)
 
 
@@ -190,7 +199,7 @@ def test_model_stage_free_group():
     _, _, grl = pipeline(cases.free_group(3))
     stage = minimal_model_stage(grl)
     assert stage.dim_v1 == 3 and stage.dim_v2 == 3
-    assert densify(stage.differential, 3).entries == RationalMatrix.identity(3).entries
+    assert densify(stage.differential, 3).entries == identity_matrix(3).entries
 
 
 def test_model_stage_surface():
@@ -210,9 +219,10 @@ def test_model_differential_annihilates_relations():
                  cases.CHAIN_PLUS_POWER):
         _, rel, grl = pipeline(pres)
         stage = minimal_model_stage(grl)
-        differential = densify(stage.differential, comb(stage.dim_v1, 2))
+        width = comb(stage.dim_v1, 2)
+        differential = densify(stage.differential, width)
         assert differential.entries == grl.quotient.coords.entries
-        pairing = differential @ rel.relation_basis.transpose()
+        pairing = differential @ densify(rel.reduced.rows, width).transpose()
         assert all(x == 0 for row in pairing.entries for x in row)
         assert rank(differential) == stage.dim_v2
 
@@ -253,8 +263,13 @@ def test_jointspan_equivalence(pres):
 @example(cases.surface_group(2))
 @example(cases.BRACKET_DEPTH3)
 def test_commutator_matrix_matches_dense_reference(pres):
-    ab = abelianization_data(pres)
-    assert commutator_relations(ab).matrix == dense_commutator_matrix(ab)
+    # the sparse images span the row space of B^T, B = C (Q - Q^T) C^T dense
+    rel = commutator_relations(abelianization_data(pres))
+    dense = dense_commutator_matrix(pres)
+    expected, pivots = gauss_jordan_rref(dense.transpose())
+    assert rel.combinations == dense.cols and rel.reduced.cols == dense.rows
+    assert rel.reduced.pivots == pivots
+    assert densify(rel.reduced.rows, dense.rows).entries == expected.entries[:len(pivots)]
 
 
 @given(presentations())
@@ -264,8 +279,9 @@ def test_commutator_matrix_matches_dense_reference(pres):
 @example(cases.free_group(1))           # empty wedge square
 def test_degree2_quotient_matches_second_elimination(pres):
     _, rel, grl = pipeline(pres)
-    assert grl.relations == rel.relation_basis
-    assert grl.quotient == quotient_basis(rel.relation_basis, comb(grl.dim1, 2))
+    width = comb(grl.dim1, 2)
+    assert grl.relations == rel.reduced.rows
+    assert grl.quotient == quotient_basis(densify(rel.reduced.rows, width), width)
 
 
 @settings(max_examples=60)

@@ -5,10 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kahlercheck import nilpotent
-from kahlercheck.linalg import RationalMatrix, rank
-from kahlercheck.magnus import TruncatedSeries2, expand, generator_power, truncated_mul
+from kahlercheck.linalg import RationalMatrix, rank, wedge_pairs
+from kahlercheck.magnus import Expansion, expand
 from kahlercheck.presentation import Word
 
+from oracles import (
+    TruncatedSeries2,
+    dense_expand,
+    generator_power,
+    truncated_mul,
+    wedge_dict,
+)
 from strategies import commutator_words_with_rank, raw_letters, words_with_rank
 
 
@@ -18,6 +25,23 @@ def series(n, linear, quadratic):
         tuple(Fraction(x) for x in linear),
         tuple(tuple(Fraction(x) for x in row) for row in quadratic),
     )
+
+
+def assert_is_fold(exp, letters, n):
+    """``exp`` is the truncated_mul fold of the letters, read sparse.
+
+    Its integer linear part equals the fold's, its wedge image lists the
+    nonzero q_ij - q_ji of the fold's quadratic part Q, and Q + Q^T is
+    L L^T - diag(L).  Together these determine Q.
+    """
+    fold = dense_expand(letters, n)
+    assert all(type(x) is int for x in exp.linear + tuple(exp.wedge.values()))
+    assert exp.linear == fold.linear
+    assert exp.wedge == wedge_dict(fold.antisymmetrized(), n)
+    lin, q = fold.linear, fold.quadratic
+    for i in range(n):
+        for j in range(n):
+            assert q[i][j] + q[j][i] == lin[i] * lin[j] - (lin[i] if i == j else 0)
 
 
 # --- truncated multiplication --------------------------------------------------
@@ -93,26 +117,29 @@ def test_generator_power_index_range():
 def test_expand_commutator():
     # (a-1)(b-1) - (b-1)(a-1) in degree 2
     comm = Word(((0, 1), (1, 1), (0, -1), (1, -1)))
-    assert expand(comm, 2) == series(2, (0, 0), ((0, 1), (-1, 0)))
+    assert dense_expand(comm.letters, 2) == series(2, (0, 0), ((0, 1), (-1, 0)))
+    assert expand(comm, 2) == Expansion((0, 0), {(0, 1): 2})
+    assert_is_fold(expand(comm, 2), comm.letters, 2)
 
 
 def test_expand_sample_word():
     # x1 x2^2 x1, expanded by hand and frozen
     word = Word(((0, 1), (1, 2), (0, 1)))
     direct = expand(word, 2)
-    assert direct == series(2, (2, 2), ((1, 2), (2, 1)))
-    # same value from an explicit chain of truncated multiplications
+    assert direct == Expansion((2, 2), {})   # q_01 = q_10 = 2
+    # the dense value from an explicit chain of truncated multiplications
     chain = truncated_mul(
         truncated_mul(generator_power(0, 1, 2), generator_power(1, 2, 2)),
         generator_power(0, 1, 2),
     )
-    assert direct == chain
+    assert chain == series(2, (2, 2), ((1, 2), (2, 1)))
+    assert_is_fold(direct, word.letters, 2)
     # linear part agrees with the nilpotent evaluator
     assert direct.linear == nilpotent.evaluate(word, 2).abelian
 
 
 def test_expand_empty_word():
-    assert expand(Word(), 3) == TruncatedSeries2.zero(3)
+    assert expand(Word(), 3) == Expansion((0, 0, 0), {})
 
 
 def test_expand_checks_rank():
@@ -123,20 +150,22 @@ def test_expand_checks_rank():
 @given(words_with_rank())
 def test_expand_is_integer_fold_of_generator_powers(data):
     n, word = data
-    exp = expand(word, n)
-    coefficients = exp.linear + tuple(x for row in exp.quadratic for x in row)
-    assert all(type(x) is int for x in coefficients)
-    acc = TruncatedSeries2.zero(n)
-    for g, e in word.letters:
-        acc = truncated_mul(acc, generator_power(g, e, n))
-    assert exp == acc
+    assert_is_fold(expand(word, n), word.letters, n)
 
 
 @given(words_with_rank(), st.data())
 def test_expand_is_multiplicative(data, extra):
     n, u = data
     v = Word(tuple(extra.draw(raw_letters(n))))
-    assert expand(u * v, n) == truncated_mul(expand(u, n), expand(v, n))
+    assert dense_expand((u * v).letters, n) == truncated_mul(
+        dense_expand(u.letters, n), dense_expand(v.letters, n))
+    # read sparse: linear parts add, wedge images add plus L_u ^ L_v
+    eu, ev, euv = expand(u, n), expand(v, n), expand(u * v, n)
+    assert euv.linear == tuple(a + b for a, b in zip(eu.linear, ev.linear))
+    expected = [eu.wedge.get((i, j), 0) + ev.wedge.get((i, j), 0)
+                + eu.linear[i] * ev.linear[j] - eu.linear[j] * ev.linear[i]
+                for i, j in wedge_pairs(n)]
+    assert euv.wedge == wedge_dict(expected, n)
 
 
 @given(words_with_rank())
@@ -151,10 +180,8 @@ def test_free_reduction_soundness(data):
     n, word = data
     doubled = word.letters + tuple((g, -e) for g, e in reversed(word.letters))
     raw = doubled + word.letters
-    acc = TruncatedSeries2.zero(n)
-    for g, e in raw:
-        acc = truncated_mul(acc, generator_power(g, e, n))
-    assert acc == expand(Word(raw), n)
+    assert dense_expand(raw, n) == dense_expand(word.letters, n)
+    assert_is_fold(expand(Word(raw), n), raw, n)
 
 
 @given(commutator_words_with_rank())
@@ -162,10 +189,11 @@ def test_commutator_words_have_antisymmetric_quadratic(data):
     n, word = data
     exp = expand(word, n)
     assert not any(exp.linear)
-    q = exp.quadratic
+    q = dense_expand(word.letters, n).quadratic
     for i in range(n):
         for j in range(n):
             assert q[i][j] == -q[j][i]
+    assert_is_fold(exp, word.letters, n)
 
 
 @given(words_with_rank(), st.data())
@@ -185,7 +213,7 @@ def test_conjugation_moves_quadratic_within_linear_span(data, extra):
             lin[a] * unit[b] - lin[b] * unit[a]
             for a in range(n) for b in range(a + 1, n)
         ))
-    diff = tuple(c - b for c, b in zip(conj.antisymmetrized(), base.antisymmetrized()))
+    diff = tuple(conj.wedge.get(p, 0) - base.wedge.get(p, 0) for p in wedge_pairs(n))
     pairs = n * (n - 1) // 2
     span = RationalMatrix.from_rows(span_rows, pairs)
     assert rank(span.stacked(RationalMatrix.from_rows([diff], pairs))) == rank(span)

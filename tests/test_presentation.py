@@ -270,6 +270,18 @@ def test_format_exponent_past_int_digit_limit():
         "gens: x\nrels: x^1" + "9" * 4299 + "8\n"
 
 
+def test_format_round_trip_at_the_exponent_digit_limit():
+    # parse(format(p)) == p holds for exponents the parser reads
+    pres = parse_presentation("gens: x y\nrels: y x^-" + "9" * 4300 + "\n")
+    assert parse_presentation(format_presentation(pres)) == pres
+    # one digit more, from two merged powers, formats but does not parse back
+    power = "x^" + "9" * 4300
+    merged = format_presentation(parse_presentation(f"gens: x\nrels: {power} {power}\n"))
+    with pytest.raises(ParseError) as excinfo:
+        parse_presentation(merged)
+    assert str(excinfo.value) == "line 2, column 9: exponent of 4301 digits is too long"
+
+
 def test_parse_relators_without_generators():
     with pytest.raises(ParseError, match="no generators"):
         parse_presentation("gens:\nrels: ()")
