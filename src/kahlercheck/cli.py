@@ -5,7 +5,9 @@
     kahlercheck fixtures <dir>
 
 Exit codes: 0 success, 1 usage or I/O failure while writing fixtures,
-2 unreadable or unparseable input, 3 oracle mismatch.
+2 unreadable or unparseable input, or an analysis that failed (for
+example with a MemoryError; reported as one line, never a traceback),
+3 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -46,17 +48,26 @@ def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
     except (ParseError, UnreadableInput) as exc:
         print(f"{path}: {exc}", file=err)
         return 2
-    doc = report.build_report(pres)
-    if oracle:
-        mismatch = report.oracle_mismatch(pres, doc)
-        if mismatch is not None:
-            print(f"{path}: {mismatch}", file=err)
-            return 3
-    if as_json:
-        out.write(report.render_json(doc))
-    else:
-        out.write(report.render_text(doc, explain=explain))
+    try:
+        doc = report.build_report(pres)
+        mismatch = report.oracle_mismatch(pres, doc) if oracle else None
+        if mismatch is None:
+            text = (report.render_json(doc) if as_json
+                    else report.render_text(doc, explain=explain))
+    except Exception as exc:   # e.g. MemoryError: a report line, not a traceback
+        print(f"{path}: {_failure(exc)}", file=err)
+        return 2
+    if mismatch is not None:
+        print(f"{path}: {mismatch}", file=err)
+        return 3
+    out.write(text)
     return 0
+
+
+def _failure(exc: Exception) -> str:
+    """An analysis failure as ``Type: message``, or ``Type`` without one."""
+    detail = str(exc)
+    return type(exc).__name__ + (": " + detail if detail else "")
 
 
 def _batch_rows(directory: Path) -> tuple[list[tuple[str, ObstructionReport]],
@@ -70,8 +81,7 @@ def _batch_rows(directory: Path) -> tuple[list[tuple[str, ObstructionReport]],
         except (ParseError, UnreadableInput) as exc:
             errors.append((path.name, str(exc)))
         except Exception as exc:   # e.g. MemoryError: one file never aborts the batch
-            detail = str(exc)
-            errors.append((path.name, type(exc).__name__ + (": " + detail if detail else "")))
+            errors.append((path.name, _failure(exc)))
     return rows, errors
 
 

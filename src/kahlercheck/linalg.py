@@ -6,9 +6,11 @@ operations and divided by the gcd of their entries, and each pivot row
 is divided by its pivot only at the end.  A row costs its nonzeros,
 however wide the space.  The RREF of a row space is unique, so the
 result is the one Gauss-Jordan elimination over Fraction gives, in any
-row order, and reports are reproducible byte for byte.  Dense
-``RationalMatrix`` values hold the s x n exponent matrix and the oracle
-route's joint span.
+row order, and reports are reproducible byte for byte.  A dense
+``RationalMatrix`` holds the s x n exponent matrix.  The ``--oracle``
+route calls ``_eliminate`` itself on its sparse integer joint-span rows,
+so ``rref``, ``rank``, ``nullspace`` and ``quotient_basis`` have no
+caller outside this module; tests and the benchmark's tracer use them.
 """
 
 from __future__ import annotations

@@ -8,94 +8,95 @@ commutator part w in the wedge square of Q^n.  The closed product law
 is the degree-2 Campbell-Hausdorff formula; powers are simply
 (m v, m w), for any integer m.  This gives a second, independently
 coded route to the degree-2 invariants computed by the series pipeline,
-used for cross-checking; it shares no code with the series expansion.
+used for cross-checking; it shares no code with the series expansion
+or the degree-1 and degree-2 layers, and takes only the sparse integer
+elimination from ``linalg``.
 
 ``evaluate`` applies that law to integer pairs (v, 2w): a word's
 image has an integer v, and 2w stays integral because each generator
-power factor m e_g adds v ^ m e_g to it.  The result is converted to
-Fractions once, at the end.
+power factor m e_g adds v ^ m e_g to it.  Both are kept sparse, so a
+word costs its letters times the support of v, not C(n,2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .linalg import RationalMatrix, nullspace, rank, wedge_pairs
+from .linalg import _eliminate
 from .presentation import Presentation, Word
 
 
-def _wedge(u: tuple[Fraction, ...], v: tuple[Fraction, ...],
-           n: int) -> tuple[Fraction, ...]:
-    return tuple(u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(n))
+def _wedge_first(n: int) -> list[int]:
+    """first[i], with first[i] + j the index of the wedge pair (i, j), i < j,
+    in lexicographic order."""
+    return [i * n - i * (i + 1) // 2 - i - 1 for i in range(n)]
 
 
-@dataclass(frozen=True)
-class NilpotentElement:
-    n: int
-    abelian: tuple[Fraction, ...]      # length n
-    commutator: tuple[Fraction, ...]   # length C(n,2), wedge_pairs order
+def evaluate(word: Word, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Left-to-right product of the generator images raised to the exponents.
 
-    def __post_init__(self) -> None:
-        if len(self.abelian) != self.n or len(self.commutator) != comb(self.n, 2):
-            raise ValueError("component lengths do not match n")
-
-
-def evaluate(word: Word, n: int) -> NilpotentElement:
-    """Left-to-right product of the generator images raised to the exponents."""
+    Returns the integer pair (v, 2w), nonzeros only: v as
+    {generator: exponent sum} and 2w as {wedge index: coefficient}.
+    """
     if word.max_generator() >= n:
         raise ValueError("word uses a generator index outside the ambient rank")
-    # Index of the wedge pair (i, j), i < j, in wedge_pairs(n) order.
-    first = [i * n - i * (i + 1) // 2 - i - 1 for i in range(n)]
-    v: dict[int, int] = {}          # support of the abelian part
-    w2 = [0] * comb(n, 2)           # twice the commutator part
+    first = _wedge_first(n)
+    v: dict[int, int] = {}
+    w2: dict[int, int] = {}
     for g, m in word.letters:
         for i, vi in v.items():
             if i < g:
-                w2[first[i] + g] += vi * m
+                p = first[i] + g
+                w2[p] = w2.get(p, 0) + vi * m
             elif i > g:
-                w2[first[g] + i] -= vi * m
+                p = first[g] + i
+                w2[p] = w2.get(p, 0) - vi * m
         vg = v.get(g, 0) + m
         if vg:
             v[g] = vg
         else:
             del v[g]
-    return NilpotentElement(
-        n,
-        tuple(Fraction(v.get(i, 0)) for i in range(n)),
-        tuple(Fraction(x, 2) for x in w2),
-    )
+    return v, {p: c for p, c in w2.items() if c}
 
 
 def commutator_quotient_dim(pres: Presentation) -> int:
     """Dimension of the degree-2 graded piece, by the joint-span formula.
 
-    Inside the wedge square of Q^n, span the wedges of each relator's
-    abelianized vector with every coordinate vector, together with the
-    commutator parts of the exponent-cancelling relator combinations;
-    the degree-2 piece is the quotient by that span.
+    Inside the wedge square of Q^n, the wedges v_r ^ e_j of each
+    relator's abelianized vector with every coordinate vector, together
+    with the commutator parts of the exponent-cancelling relator
+    combinations, span a subspace; the degree-2 piece is the quotient by
+    it.  One elimination in Q^n + wedge square (columns 0..n-1 for v,
+    n + index for a wedge pair) finds that span's dimension: the rows
+    (v_r, 2 w_r) and (0, v_r ^ e_j) span a space whose projection onto
+    Q^n has image V, of dimension k, the pivots below n, and kernel the
+    joint span.  So dim2 = C(n,2) - (rank - k).
+
+    With a the first index of v's support, v ^ e_a = v ^ (e_a - v / v_a)
+    is a combination of the rows for j != a, none of which is zero, so it
+    is left out: it holds every pair (a, i) of the support, and
+    eliminating it would fill each other row with them (n^3 entries for
+    one relator on all n generators).
     """
     n = pres.n
-    values = [evaluate(rel, n) for rel in pres.relators]
-    pairs = wedge_pairs(n)
-    rows: list[tuple[Fraction, ...]] = []
-    unit = [Fraction(0)] * n
-    for val in values:
+    first = _wedge_first(n)
+    rows = []
+    for rel in pres.relators:
+        v, w2 = evaluate(rel, n)
+        rows.append({**v, **{n + p: c for p, c in w2.items()}})
+        if not v:
+            continue
+        a = min(v)
         for j in range(n):
-            unit[j] = Fraction(1)
-            rows.append(_wedge(val.abelian, tuple(unit), n))
-            unit[j] = Fraction(0)
-    exponents = RationalMatrix.from_rows([v.abelian for v in values], n)
-    kernel = nullspace(exponents.transpose())
-    for col in range(kernel.cols):
-        lam = kernel.column(col)
-        rows.append(
-            tuple(
-                sum((lam[r] * values[r].commutator[p] for r in range(len(values))),
-                    Fraction(0))
-                for p in range(len(pairs))
-            )
-        )
-    span = RationalMatrix.from_rows(rows, len(pairs))
-    return comb(n, 2) - rank(span)
+            if j == a:   # v ^ e_a is a combination of the others, see above
+                continue
+            wedge = {}
+            for i, vi in v.items():
+                if i < j:
+                    wedge[n + first[i] + j] = vi
+                elif i > j:
+                    wedge[n + first[j] + i] = -vi
+            rows.append(wedge)
+    pivots = _eliminate(rows)
+    k = sum(1 for p in pivots if p < n)
+    return comb(n, 2) - (len(pivots) - k)

@@ -149,11 +149,13 @@ class Word:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        norm = _normalize(self.letters)
-        for gen, _ in norm:
-            if not isinstance(gen, int) or gen < 0:
+        letters = tuple(self.letters)
+        for gen, exp in letters:   # bool is an int subclass, but not a number here
+            if type(gen) is not int or gen < 0:
                 raise ValueError(f"generator index must be a non-negative int, got {gen!r}")
-        object.__setattr__(self, "letters", norm)
+            if type(exp) is not int:
+                raise ValueError(f"exponent must be an int, got {exp!r}")
+        object.__setattr__(self, "letters", _normalize(letters))
 
     @staticmethod
     def generator(index: int, exponent: int = 1) -> "Word":

@@ -8,6 +8,11 @@ matrix entries as exact rational strings from Fraction (``"3"``,
     dim_gamma2_gamma3, grl_free, surface_genus, m_max, excluded_genera,
     minimal_model {dimV1, dimV2, differential}, verdicts [{code,
     theorem, detail}], overall
+
+Both renderers return the document as one string, made from a list of
+pieces joined once.  Each differential row, dense in the output, is the
+all-zero row of width C(q,2), formatted once per report, with the row's
+nonzeros spliced in, so a row costs its nonzeros and one copy.
 """
 
 from __future__ import annotations
@@ -63,51 +68,59 @@ def oracle_mismatch(pres: Presentation, doc: ObstructionReport) -> str | None:
 
 
 def render_text(doc: ObstructionReport, explain: bool = False) -> str:
-    lines = []
-    pres_lines = doc.presentation.rstrip("\n").split("\n")
-    lines.append("presentation:")
-    lines.extend("  " + p for p in pres_lines)
-    lines.append("invariants:")
-    lines.append(f"  n = {doc.n}  s = {doc.s}  k = {doc.k}")
-    lines.append(f"  q (rational abelianization rank) = {doc.q}")
-    lines.append(f"  dim ker d0 = {doc.dim_kernel}")
-    lines.append(f"  dim ker d1 = {doc.dim_kernel_deg2}")
-    lines.append(f"  dim W = {doc.dim_relations}")
-    lines.append(f"  dim Gamma2/Gamma3 = {doc.dim2}")
-    lines.append(f"  two-step algebra free: {'yes' if doc.free_two_step else 'no'}")
     genus = "none" if doc.surface_genus is None else str(doc.surface_genus)
-    lines.append(f"  surface genus match: {genus}")
-    lines.append(f"  albanese m_max = {doc.m_max}")
     excl = ", ".join(str(g) for g in doc.excluded_genera) or "none"
-    lines.append(f"  excluded fibration genera: {excl}")
-    lines.append("minimal model stage:")
-    lines.append(f"  dim V1 = {doc.model.dim_v1}  dim V2 = {doc.model.dim_v2}")
+    pieces = ["presentation:\n"]
+    pieces.extend(f"  {p}\n" for p in doc.presentation.rstrip("\n").split("\n"))
+    pieces += [
+        "invariants:\n",
+        f"  n = {doc.n}  s = {doc.s}  k = {doc.k}\n",
+        f"  q (rational abelianization rank) = {doc.q}\n",
+        f"  dim ker d0 = {doc.dim_kernel}\n",
+        f"  dim ker d1 = {doc.dim_kernel_deg2}\n",
+        f"  dim W = {doc.dim_relations}\n",
+        f"  dim Gamma2/Gamma3 = {doc.dim2}\n",
+        f"  two-step algebra free: {'yes' if doc.free_two_step else 'no'}\n",
+        f"  surface genus match: {genus}\n",
+        f"  albanese m_max = {doc.m_max}\n",
+        f"  excluded fibration genera: {excl}\n",
+        "minimal model stage:\n",
+        f"  dim V1 = {doc.model.dim_v1}  dim V2 = {doc.model.dim_v2}\n",
+    ]
     if explain:
-        for i, cells in enumerate(_differential_cells(doc.model), 1):
-            lines.append(f"  d(v{i}) = [{' '.join(cells)}]")
-    lines.append("verdicts:")
+        for i, row in enumerate(_differential_rows(doc.model, " "), 1):
+            pieces.append(f"  d(v{i}) = [")
+            pieces += row
+            pieces.append("]\n")
+    pieces.append("verdicts:\n")
     if not doc.verdicts:
-        lines.append("  (none)")
+        pieces.append("  (none)\n")
     for v in doc.verdicts:
-        lines.append(f"  {v.code.value} [{v.theorem}]")
+        pieces.append(f"  {v.code.value} [{v.theorem}]\n")
         if explain:
-            lines.append(f"    {v.detail}")
-    lines.append(f"overall: {doc.overall.value}")
-    return "\n".join(lines) + "\n"
+            pieces.append(f"    {v.detail}\n")
+    pieces.append(f"overall: {doc.overall.value}\n")
+    return "".join(pieces)
 
 
-def _differential_cells(model: ModelStage) -> Iterator[list[str]]:
-    """Each differential row as the strings of its dense entries.
+def _differential_rows(model: ModelStage, sep: str) -> Iterator[list[str]]:
+    """Each differential row as the pieces of its dense entries joined by sep.
 
-    All zero entries share one "0" string, and only the nonzero entries
-    are formatted.
+    Every row is the all-zero row "0<sep>0<sep>...0" with its nonzeros
+    spliced in: the entry in column c starts at offset c * (len(sep) + 1),
+    and the runs of zeros between nonzeros are slices of the one
+    precomputed zero row, so a row costs its nonzeros and one copy.
     """
-    width = comb(model.dim_v1, 2)
+    stride = len(sep) + 1
+    zeros = sep.join(["0"] * comb(model.dim_v1, 2)) if model.dim_v2 else ""
     for row in model.differential:
-        cells = ["0"] * width
+        pieces, pos = [], 0
         for c, x in row:
-            cells[c] = _exact(x)
-        yield cells
+            pieces.append(zeros[pos:c * stride])
+            pieces.append(_exact(x))
+            pos = c * stride + 1
+        pieces.append(zeros[pos:])
+        yield pieces
 
 
 def _exact(x: Fraction) -> str:
@@ -129,27 +142,13 @@ def _json_member(key: str, value: object, pad: str) -> str:
     return f"{pad}{json.dumps(key)}: {text}"
 
 
-def _differential_json(model: ModelStage) -> str:
-    """The differential as an indent-2 JSON array at depth 2.
-
-    Its entries are Fraction strings, which need no escaping.
-    """
-    rows = [
-        '      [\n        "' + '",\n        "'.join(cells) + '"\n      ]'
-        if cells else "      []"
-        for cells in _differential_cells(model)
-    ]
-    if not rows:
-        return "[]"
-    return "[\n" + ",\n".join(rows) + "\n    ]"
-
-
 def render_json(doc: ObstructionReport) -> str:
     """The schema-1 document, laid out as ``json.dumps(..., indent=2)`` does.
 
     The differential, which holds almost all of a large document, is
-    written directly from its sparse rows; every other value goes
-    through ``json.dumps``.
+    written directly from its sparse rows (its entries are Fraction
+    strings, which need no escaping); every other value goes through
+    ``json.dumps``.  The pieces are joined once, at the end.
     """
     model = doc.model
     head = (
@@ -172,13 +171,26 @@ def render_json(doc: ObstructionReport) -> str:
         {"code": v.code.value, "theorem": v.theorem, "detail": v.detail}
         for v in doc.verdicts
     ]
-    members = [_json_member(key, value, "  ") for key, value in head]
-    members.append(
-        '  "minimal_model": {\n'
-        + _json_member("dimV1", model.dim_v1, "    ") + ",\n"
-        + _json_member("dimV2", model.dim_v2, "    ") + ",\n"
-        + '    "differential": ' + _differential_json(model) + "\n  }"
-    )
-    members.append(_json_member("verdicts", verdicts, "  "))
-    members.append(_json_member("overall", doc.overall.value, "  "))
-    return "{\n" + ",\n".join(members) + "\n}\n"
+    pieces = ["{\n"]
+    for key, value in head:
+        pieces += [_json_member(key, value, "  "), ",\n"]
+    pieces += [
+        '  "minimal_model": {\n',
+        _json_member("dimV1", model.dim_v1, "    "), ",\n",
+        _json_member("dimV2", model.dim_v2, "    "), ",\n",
+        '    "differential": [',
+    ]
+    row_sep = "\n"
+    for row in _differential_rows(model, '",\n        "'):
+        pieces.append(row_sep + '      [\n        "')
+        pieces += row
+        pieces.append('"\n      ]')
+        row_sep = ",\n"
+    if model.dim_v2:
+        pieces.append("\n    ")
+    pieces += [
+        "]\n  },\n",
+        _json_member("verdicts", verdicts, "  "), ",\n",
+        _json_member("overall", doc.overall.value, "  "), "\n}\n",
+    ]
+    return "".join(pieces)

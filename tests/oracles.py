@@ -8,7 +8,6 @@ from math import comb
 
 from kahlercheck.gradedlie import abelianization_data
 from kahlercheck.linalg import RationalMatrix, rank, wedge_pairs
-from kahlercheck.nilpotent import NilpotentElement
 
 Rat = Fraction | int
 
@@ -94,6 +93,29 @@ def dense_expand(letters, n):
 def wedge_dict(coefficients, n):
     """The nonzero coefficients on wedge_pairs(n), keyed by pair."""
     return {pair: c for pair, c in zip(wedge_pairs(n), coefficients) if c}
+
+
+@dataclass(frozen=True)
+class NilpotentElement:
+    """A dense element (v, w) of the free two-step nilpotent group."""
+
+    n: int
+    abelian: tuple[Fraction, ...]      # length n
+    commutator: tuple[Fraction, ...]   # length C(n,2), wedge_pairs order
+
+    def __post_init__(self) -> None:
+        if len(self.abelian) != self.n or len(self.commutator) != comb(self.n, 2):
+            raise ValueError("component lengths do not match n")
+
+
+def densify_element(pair, n):
+    """The dense element of ``nilpotent.evaluate``'s sparse pair (v, 2w)."""
+    v, w2 = pair
+    return NilpotentElement(
+        n,
+        tuple(Fraction(v.get(i, 0)) for i in range(n)),
+        tuple(Fraction(w2.get(p, 0), 2) for p in range(comb(n, 2))),
+    )
 
 
 def element_mul(a, b):

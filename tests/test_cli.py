@@ -113,6 +113,30 @@ def test_analyze_oracle_mismatch_exit_code(corpus_dir, monkeypatch):
     assert "oracle mismatch" in err
 
 
+FAILURES = [
+    (MemoryError(), "MemoryError"),
+    (report.ReportInvariantError("consistency check failed: q = n - k"),
+     "ReportInvariantError: consistency check failed: q = n - k"),
+]
+
+
+@pytest.mark.parametrize("owner, name, flags", [
+    (report, "build_report", []),
+    (nilpotent, "commutator_quotient_dim", ["--oracle"]),
+    (report, "render_text", ["--explain"]),
+    (report, "render_json", ["--json"]),
+])
+@pytest.mark.parametrize("exc, message", FAILURES)
+def test_analyze_reports_a_failed_analysis(corpus_dir, monkeypatch, owner, name,
+                                           flags, exc, message):
+    def failing(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(owner, name, failing)
+    path = corpus_dir / "surface_g2.pres"
+    code, out, err = run(["analyze", str(path), *flags])
+    assert (code, out, err) == (2, "", f"{path}: {message}\n")
+
+
 def test_analyze_json_document(corpus_dir):
     code, out, _ = run(["analyze", str(corpus_dir / "surface_g2.pres"), "--json"])
     assert code == 0
@@ -294,6 +318,17 @@ def test_analyze_wide_presentations(tmp_path):
     assert code == 0 and err == ""
     assert "  dim Gamma2/Gamma3 = 1998999\n" in out
     assert "  surface genus match: 1000\n" in out
+    # the oracle's joint span is sparse too: C(n,2) is 7140 and 12,497,500
+    few = " ".join(f"x{i}" for i in range(120))
+    narrow = write(tmp_path, f"gens: {few}\nrels: (x0,x1) x2\n", "narrow.pres")
+    for path, dim2 in ((narrow, 7021), (wide, 12497499)):
+        code, plain, err = run(["analyze", str(path)])
+        assert code == 0 and err == ""
+        assert f"  dim Gamma2/Gamma3 = {dim2}\n" in plain
+        start = time.perf_counter()
+        code, out, err = run(["analyze", str(path), "--oracle"])
+        assert time.perf_counter() - start < 10
+        assert (code, out, err) == (0, plain, "")
 
 
 def test_analyze_is_deterministic(corpus_dir):
@@ -357,11 +392,7 @@ def test_batch_reports_unreadable_file(corpus_dir, monkeypatch):
     assert "line 0" not in out
 
 
-@pytest.mark.parametrize("exc, message", [
-    (MemoryError(), "MemoryError"),
-    (report.ReportInvariantError("consistency check failed: q = n - k"),
-     "ReportInvariantError: consistency check failed: q = n - k"),
-])
+@pytest.mark.parametrize("exc, message", FAILURES)
 def test_batch_records_any_per_file_exception(tmp_path, monkeypatch, exc, message):
     # one file of three fails inside the analysis; the others keep their rows
     write(tmp_path, "gens: x y\nrels: (x,y)\n", "a.pres")

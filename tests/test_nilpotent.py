@@ -2,20 +2,23 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kahlercheck import magnus
-from kahlercheck.nilpotent import NilpotentElement, commutator_quotient_dim, evaluate
-from kahlercheck.presentation import Word
+from kahlercheck.nilpotent import commutator_quotient_dim, evaluate
+from kahlercheck.presentation import Presentation, Word, parse_presentation
 
 import cases
 from oracles import (
+    NilpotentElement,
+    densify_element,
     element_inverse,
     element_mul,
     element_power,
     generator,
     identity,
+    jointspan_dim2,
     wedge_dict,
 )
 from strategies import presentations, words_with_rank
@@ -40,16 +43,19 @@ def test_commutator_evaluates_to_wedge():
     assert step.abelian == (0, 0)
     assert step.commutator == (Fraction(1),)
     word = Word(((0, 1), (1, 1), (0, -1), (1, -1)))
-    assert evaluate(word, 2) == step
+    assert evaluate(word, 2) == ({}, {0: 2})
+    assert densify_element(evaluate(word, 2), 2) == step
 
 
 def test_power_is_scalar_multiple():
-    assert evaluate(Word(((0, 7),)), 3).abelian == (7, 0, 0)
-    assert evaluate(Word(((0, 7),)), 3).commutator == (0, 0, 0)
+    assert evaluate(Word(((0, 7),)), 3) == ({0: 7}, {})
+    # conjugating a power adds a wedge: (1, 2) has index 2 for n = 3
+    assert evaluate(Word(((1, 2), (2, 3), (1, -2))), 3) == ({2: 3}, {2: 12})
 
 
 def test_empty_word_is_identity():
-    assert evaluate(Word(), 4) == identity(4)
+    assert evaluate(Word(), 4) == ({}, {})
+    assert densify_element(evaluate(Word(), 4), 4) == identity(4)
 
 
 def test_inverse_law():
@@ -90,9 +96,13 @@ def test_evaluate_matches_literal_product(data):
     acc = identity(n)
     for g, m in word.letters:
         acc = element_mul(acc, element_power(generator(g, n), m))
-    value = evaluate(word, n)
-    assert value == acc
-    assert all(type(x) is Fraction for x in value.abelian + value.commutator)
+    v, w2 = evaluate(word, n)
+    # integer-only and sparse: int keys and values, no zero entries
+    assert all(type(x) is int for entries in (v, w2) for item in entries.items()
+               for x in item)
+    assert all(v.values()) and all(w2.values())
+    assert all(0 <= g < n for g in v) and all(0 <= p < comb(n, 2) for p in w2)
+    assert densify_element((v, w2), n) == acc
 
 
 # --- cross-evaluator identity -------------------------------------------------------
@@ -102,7 +112,7 @@ def test_series_and_group_evaluations_agree(data):
     # antisymmetrized quadratic part is exactly twice the commutator part
     n, word = data
     exp = magnus.expand(word, n)
-    val = evaluate(word, n)
+    val = densify_element(evaluate(word, n), n)
     assert exp.linear == val.abelian
     assert exp.wedge == wedge_dict([2 * w for w in val.commutator], n)
 
@@ -137,3 +147,20 @@ def test_dim_matches_pipeline_on_random(pres):
     from kahlercheck.report import build_report
 
     assert commutator_quotient_dim(pres) == build_report(pres).dim2
+
+
+@given(presentations(max_gens=4, max_rels=4))
+@example(cases.free_group(3))                                  # no relators
+@example(Presentation(("x", "y"), (Word(), Word(((0, 1),)))))  # an empty relator
+@example(parse_presentation("gens: x\nrels: x^2 | x^3"))       # kernel (3, -2)
+@example(parse_presentation(
+    "gens: x y z\nrels: x^2 (y,z)^2 | x^3 (y,z)^3"))           # (3, -2) cancels w
+@example(parse_presentation(
+    "gens: x y z\nrels: (x,y) | (y,z) | (x y, z)"))             # kernel dimension 3
+@example(parse_presentation(
+    "gens: x y z t\nrels: x y^2 | (x,y) z | (x,z) t^-1"))      # v and w both matter
+@example(parse_presentation(
+    "gens: x y z\nrels: x z | (x,y) (y,z)^-1"))                 # sign of v ^ e_y
+@example(cases.cyclic_group(4))                                # n = 1
+def test_dim_matches_dense_jointspan(pres):
+    assert commutator_quotient_dim(pres) == jointspan_dim2(pres)

@@ -230,8 +230,10 @@ def test_known_kahler_controls_fire_nothing_fatal():
 @example(cases.TRIVIAL)                  # q = 0
 @example(cases.free_group(1))            # q = 1, empty wedge square
 @example(cases.free_abelian_group(4))    # dimV2 = 0 with q = 4
+@example(cases.cyclic_group(5))          # q = 0 with n = 1
 @example(cases.surface_group(3))
-@example(parse_presentation("gens: a b c d\nrels: (a,b)^2 (c,d)^3"))  # -3/2
+@example(parse_presentation("gens: a b c\nrels: (a,b) (b,c)^-1"))  # first and last columns
+@example(parse_presentation("gens: a b c d\nrels: (a,b)^2 (c,d)^3"))  # -3/2 in column 0
 def test_render_matches_dense_oracle(pres):
     doc = build_report(pres)
     expected = oracle_dict(doc)
@@ -239,7 +241,14 @@ def test_render_matches_dense_oracle(pres):
     rows = expected["minimal_model"]["differential"]
     assert len(rows) == doc.model.dim_v2
     assert all(len(row) == comb(doc.q, 2) for row in rows)
+    # --explain puts the dense rows right after the model dimensions
     lines = render_text(doc, explain=True).split("\n")
-    assert [line for line in lines if line.startswith("  d(v")] == [
+    start = lines.index(f"  dim V1 = {doc.q}  dim V2 = {doc.dim2}") + 1
+    end = lines.index("verdicts:")
+    assert lines[start:end] == [
         f"  d(v{i}) = [{' '.join(row)}]" for i, row in enumerate(rows, 1)
     ]
+    # and adds nothing else but the verdict details
+    rest = lines[:start] + lines[end:]
+    assert [line for line in rest if not line.startswith("    ")] == \
+        render_text(doc).split("\n")

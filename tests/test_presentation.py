@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,17 @@ def test_word_normalizes_adjacent_letters():
 def test_word_rejects_bad_generator_index():
     with pytest.raises(ValueError):
         Word(((-1, 2),))
+    for bad in (True, False, 1.0):
+        with pytest.raises(ValueError, match="generator index"):
+            Word(((bad, 2),))
+
+
+@pytest.mark.parametrize("exp", [Fraction(1, 2), 0.5, Fraction(2), 2.0, True, 0.0])
+def test_word_rejects_non_int_exponent(exp):
+    with pytest.raises(ValueError, match="exponent must be an int"):
+        Word(((0, exp),))
+    with pytest.raises(ValueError, match="exponent must be an int"):
+        Word(((0, 1), (1, exp), (1, -1)))   # also where it would cancel
 
 
 def test_invert_empty_word():
