@@ -22,6 +22,11 @@ from .obstructions import ObstructionReport
 from .presentation import ParseError, parse_presentation
 
 
+# Longest single write of an analyze document, in characters.  Text-mode
+# stdout encodes each write whole, so slicing bounds that copy.
+WRITE_SLICE = 1 << 20
+
+
 class UnreadableInput(Exception):
     """An input file that could not be read; it has no location."""
 
@@ -60,7 +65,8 @@ def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
     if mismatch is not None:
         print(f"{path}: {mismatch}", file=err)
         return 3
-    out.write(text)
+    for start in range(0, len(text), WRITE_SLICE):
+        out.write(text[start:start + WRITE_SLICE])
     return 0
 
 

@@ -30,10 +30,10 @@ normalized commutator coordinates, which does not change any span).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from . import magnus
 from .linalg import (
@@ -48,8 +48,7 @@ from .linalg import (
 from .presentation import Presentation
 
 
-@dataclass(frozen=True)
-class AbelianizationData:
+class AbelianizationData(NamedTuple):
     """Degree-1 layer: relator expansions, exponent matrix, its rank and kernel.
 
     ``kernel`` holds s - k independent integer combinations of the
@@ -94,8 +93,7 @@ def abelianization_data(pres: Presentation) -> AbelianizationData:
                               QuotientBasis(reduced))
 
 
-@dataclass(frozen=True)
-class CommutatorRelations:
+class CommutatorRelations(NamedTuple):
     """Degree-2 layer: images of the kernel combinations in the wedge square."""
 
     reduced: Rref        # RREF of the images; its rows span W in C(q,2) columns
@@ -156,8 +154,7 @@ def _wedge_first(q: int) -> list[int]:
     return [i * q - i * (i + 1) // 2 - i - 1 for i in range(q)]
 
 
-@dataclass(frozen=True)
-class GradedLie2:
+class GradedLie2(NamedTuple):
     """The two-step graded algebra: dimensions, bracket, relation space.
 
     The degree-2 piece is the wedge square modulo the relation space,
@@ -247,8 +244,7 @@ def surface_genus(grl: GradedLie2) -> int | None:
     return q // 2
 
 
-@dataclass(frozen=True)
-class ModelStage:
+class ModelStage(NamedTuple):
     """Dual cochain stage: generators in degrees one and two.
 
     ``differential`` has one sparse row per degree-two generator,

@@ -15,23 +15,21 @@ caller outside this module; tests and the benchmark's tracer use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+from .presentation import Record
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable row-major matrix of Fractions; may have zero rows."""
+class RationalMatrix(NamedTuple):
+    """Immutable row-major matrix of Fractions; may have zero rows.
+
+    ``from_rows`` is the checked constructor: it rejects ragged rows.
+    """
 
     entries: tuple[tuple[Fraction, ...], ...]
     cols: int
-
-    def __post_init__(self) -> None:
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[Fraction | int]],
@@ -41,6 +39,8 @@ class RationalMatrix:
             if not data:
                 raise ValueError("column count required for a matrix with no rows")
             cols = len(data[0])
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
         return RationalMatrix(data, cols)
 
     @property
@@ -80,8 +80,7 @@ class RationalMatrix:
 SparseRow = tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class Rref:
+class Rref(NamedTuple):
     """Reduced row-echelon form of a row space, as its nonzero rows.
 
     Row i has a 1 at column pivots[i], the leftmost of its nonzeros, and
@@ -198,8 +197,7 @@ def nullspace(matrix: RationalMatrix) -> RationalMatrix:
     return quotient_basis(matrix, matrix.cols).coords.transpose()
 
 
-@dataclass(frozen=True)
-class QuotientBasis:
+class QuotientBasis(Record):
     """A basis of an ambient space modulo the row space of an RREF.
 
     The chosen quotient basis is the classes of the ambient basis
@@ -212,7 +210,10 @@ class QuotientBasis:
     iterated, so the basis itself costs the RREF alone.
     """
 
-    reduced: Rref
+    __slots__ = ("reduced",)
+
+    def __init__(self, reduced: Rref) -> None:
+        object.__setattr__(self, "reduced", reduced)
 
     @property
     def dim(self) -> int:

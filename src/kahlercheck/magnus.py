@@ -11,13 +11,12 @@ prefix sums in one pass over the letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .presentation import Word
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """Exponent sums and antisymmetrized quadratic part of a word."""
 
     linear: tuple[int, ...]              # exponent sum of each generator

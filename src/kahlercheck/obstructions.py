@@ -14,9 +14,9 @@ behind the test; reports and the --explain flag surface it verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from typing import NamedTuple
 
 from . import gradedlie
 from .presentation import Presentation, format_presentation
@@ -29,8 +29,7 @@ class VerdictCode(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     code: VerdictCode
     theorem: str
     detail: str
@@ -168,8 +167,7 @@ def overall_code(verdicts: tuple[Verdict, ...], all_excluded: bool) -> VerdictCo
     return VerdictCode.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Everything one analysis computes: invariants, model stage, verdicts."""
 
     presentation: str        # the input in canonical text form

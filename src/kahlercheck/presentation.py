@@ -25,7 +25,6 @@ product is checked against that bound before it is built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Sequence
 
@@ -137,19 +136,55 @@ def _power(a: _Letters, m: int) -> tuple[tuple[int, int], ...]:
     return _normalize([*a[:k], *powered, *a[len(a) - k:]])
 
 
-@dataclass(frozen=True)
-class Word:
+class Record:
+    """Base of the immutable slotted records: fields are the ``__slots__``.
+
+    A subclass sets its fields once in ``__init__`` through
+    ``object.__setattr__`` and takes them positionally in slot order.
+    Assignment and deletion raise ``AttributeError``; equality (between
+    records of one type), hash, ``repr``, copy and pickle follow the
+    fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Word(Record):
     """A normalized free-group word: tuple of (generator index, exponent).
 
     Any sequence of pairs is accepted and normalized on construction, so
     two words are equal iff they are freely equal as products of
-    generator powers.
+    generator powers.  Words are immutable.
     """
 
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        letters = tuple(self.letters)
+    def __init__(self, letters: Iterable[tuple[int, int]] = ()) -> None:
+        letters = tuple(letters)
         for gen, exp in letters:   # bool is an int subclass, but not a number here
             if type(gen) is not int or gen < 0:
                 raise ValueError(f"generator index must be a non-negative int, got {gen!r}")
@@ -196,16 +231,15 @@ class Word:
         return bool(self.letters)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """A finite presentation: generator names plus relator words."""
+class Presentation(Record):
+    """A finite presentation: generator names plus relator words; immutable."""
 
-    generators: tuple[str, ...] = ()
-    relators: tuple[Word, ...] = ()
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relators", tuple(self.relators))
+    def __init__(self, generators: Iterable[str] = (),
+                 relators: Iterable[Word] = ()) -> None:
+        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "relators", tuple(relators))
         seen = set()
         for name in self.generators:
             if not NAME_RE.fullmatch(name):

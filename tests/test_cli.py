@@ -11,6 +11,7 @@ import pytest
 
 from kahlercheck import nilpotent, report
 from kahlercheck.cli import main
+from kahlercheck.presentation import parse_presentation
 from kahlercheck.fixtures import (
     CORPUS,
     chain_link_text,
@@ -135,6 +136,34 @@ def test_analyze_reports_a_failed_analysis(corpus_dir, monkeypatch, owner, name,
     path = corpus_dir / "surface_g2.pres"
     code, out, err = run(["analyze", str(path), *flags])
     assert (code, out, err) == (2, "", f"{path}: {message}\n")
+
+
+class WriteRecorder:
+    """A text stream that keeps each write separately."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_analyze_writes_a_large_document_in_slices(tmp_path, monkeypatch):
+    # The free group on 30 generators: a --json document of about 2.5 MB.
+    text = "gens: " + " ".join(f"x{i}" for i in range(30)) + "\nrels:\n"
+    path = write(tmp_path, text)
+    out, err = WriteRecorder(), io.StringIO()
+    assert main(["analyze", str(path), "--json"], out=out, err=err) == 0
+    expected = report.render_json(report.build_report(parse_presentation(text)))
+    assert len(expected) > 2 * (1 << 20) and err.getvalue() == ""
+    assert max(len(piece) for piece in out.writes) <= 1 << 20
+    assert "".join(out.writes) == expected
+    # the oracle check runs before the first write
+    monkeypatch.setattr(nilpotent, "commutator_quotient_dim", lambda pres: 99)
+    out = WriteRecorder()
+    assert main(["analyze", str(path), "--json", "--oracle"], out=out, err=err) == 3
+    assert out.writes == []
 
 
 def test_analyze_json_document(corpus_dir):
@@ -461,6 +490,17 @@ def test_fixtures_unwritable_target(tmp_path):
 
 
 # --- scripts -----------------------------------------------------------------------
+
+def test_cli_import_loads_no_dataclasses():
+    # -S: no site hooks, so every module loaded is one the package imports
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import kahlercheck.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
 
 def test_search_script_runs_outside_repository(tmp_path):
     script = ROOT / "scripts" / "search_combined_exclusions.py"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -190,6 +192,22 @@ def test_quotient_no_relations():
     qb = quotient_basis(RationalMatrix.from_rows([], cols=4), 4)
     assert qb.dim == 4
     assert qb.coords.entries == identity_matrix(4).entries
+
+
+def test_quotient_basis_is_an_immutable_value():
+    qb = quotient_basis(mat([[1, 2, 0], [0, 0, 1]]), 3)
+    assert list(qb) == [((0, Fraction(-2)), (1, Fraction(1)))]
+    same = quotient_basis(mat([[2, 4, 3], [0, 0, 5]]), 3)   # the same row space
+    assert qb == same and hash(qb) == hash(same)
+    assert qb != quotient_basis(mat([[1, 0, 0]]), 3)
+    assert qb != qb.reduced
+    assert repr(qb) == f"QuotientBasis(reduced={qb.reduced!r})"
+    assert repr(qb.reduced).startswith("Rref(rows=")
+    with pytest.raises(AttributeError):
+        qb.reduced = same.reduced
+    with pytest.raises(AttributeError):
+        del qb.reduced
+    assert copy.copy(qb) == qb and pickle.loads(pickle.dumps(qb)) == qb
 
 
 def test_quotient_full_relations():

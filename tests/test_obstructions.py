@@ -1,10 +1,13 @@
+import copy
 import json
 import random
+from fractions import Fraction
 from math import comb
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kahlercheck import gradedlie, linalg, magnus
 from kahlercheck.gradedlie import RelatorClass
 from kahlercheck.obstructions import (
     CITE_ALBANESE,
@@ -15,6 +18,7 @@ from kahlercheck.obstructions import (
     CITE_NONFIBERED_BOUND,
     CITE_ONE_RELATOR,
     CITE_RELATION_COUNT,
+    ObstructionReport,
     Verdict,
     VerdictCode,
     albanese_bound,
@@ -171,6 +175,42 @@ def test_evaluate_cyclic_group():
     report = evaluate(cases.cyclic_group(5))
     assert report.q == 0
     assert report.overall is VerdictCode.INCONCLUSIVE
+
+
+def test_report_fields_read_by_name():
+    doc = build_report(cases.surface_group(2))
+    assert {name: getattr(doc, name) for name in (
+        "presentation", "n", "s", "k", "q", "dim_kernel", "dim_kernel_deg2",
+        "dim_relations", "dim2", "free_two_step", "surface_genus", "m_max",
+        "excluded_genera", "all_genera_excluded", "overall")} == {
+        "presentation": "gens: a1 b1 a2 b2\nrels: a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1\n",
+        "n": 4, "s": 1, "k": 0, "q": 4, "dim_kernel": 1, "dim_kernel_deg2": 0,
+        "dim_relations": 1, "dim2": 5, "free_two_step": False, "surface_genus": 2,
+        "m_max": 1, "excluded_genera": (), "all_genera_excluded": False,
+        "overall": VerdictCode.NOT_NONFIBERED_KAHLER,
+    }
+    assert [(v.code, v.theorem, v.detail) for v in doc.verdicts] == [
+        (VerdictCode.NOT_NONFIBERED_KAHLER, CITE_NONFIBERED_BOUND,
+         "dim2 = 5 > 1 = b(b-1)/2 - 2(b-3) - (b-1) with b = 4"),
+        (VerdictCode.NOT_NONFIBERED_KAHLER, CITE_RELATION_COUNT,
+         "s = 1 < k + 2(n-k-3) + (n-k-1) = 5 with n = 4, k = 0"),
+    ]
+    assert (doc.model.dim_v1, doc.model.dim_v2) == (4, 5)
+    one = Fraction(1)
+    assert list(doc.model.differential) == [
+        ((1, one),), ((2, one),), ((3, one),), ((4, one),), ((0, -one), (5, one))]
+    assert copy.copy(doc) == doc and hash(doc) == hash(copy.deepcopy(doc))
+
+
+def test_tuple_records_keep_the_tuple_protocol():
+    # tuple(x), copy and pickle rely on these; a record must not redefine them
+    for record in (magnus.Expansion, linalg.RationalMatrix, linalg.Rref,
+                   gradedlie.AbelianizationData, gradedlie.CommutatorRelations,
+                   gradedlie.GradedLie2, gradedlie.ModelStage,
+                   Verdict, ObstructionReport):
+        assert issubclass(record, tuple)
+        for method in ("__iter__", "__len__", "__getitem__"):
+            assert getattr(record, method) is getattr(tuple, method), (record, method)
 
 
 def test_evaluate_never_certifies_kahler():

@@ -1,6 +1,9 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -120,6 +123,26 @@ def test_word_times_inverse_is_empty(data):
     assert word * word.inverse() == Word()
 
 
+def test_word_is_an_immutable_value():
+    w = Word(((0, 1), (0, -1)))
+    assert w == Word() and hash(w) == hash(Word())
+    assert Word(((0, 1), (0, 1))) == Word(((0, 2),))
+    assert hash(Word(((0, 1), (0, 1)))) == hash(Word(((0, 2),)))
+    assert Word(((0, 1),)) != Word(((0, 2),))
+    assert Word(((0, 1),)) != ((0, 1),)
+    assert Word(((0, 1),)) != SimpleNamespace(letters=((0, 1),))
+    assert repr(Word(((0, 1), (1, -2)))) == "Word(letters=((0, 1), (1, -2)))"
+    with pytest.raises(AttributeError):
+        w.letters = ((1, 1),)
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    with pytest.raises(AttributeError):
+        del w.letters
+    assert w.letters == ()
+    x = Word(((0, 3),))
+    assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
 # --- presentations -----------------------------------------------------------
 
 def test_presentation_validates_names():
@@ -129,6 +152,25 @@ def test_presentation_validates_names():
         Presentation(("1x",))
     with pytest.raises(ValueError):
         Presentation((("x"),), (Word(((1, 1),)),))
+
+
+def test_presentation_is_an_immutable_value():
+    pres = Presentation(["x", "y"], [Word(((0, 1), (0, -1))), Word(((1, 2),))])
+    assert pres.generators == ("x", "y")
+    assert pres.relators == (Word(), Word(((1, 2),)))
+    same = Presentation(("x", "y"), (Word(), Word(((1, 1), (1, 1)))))
+    assert pres == same and hash(pres) == hash(same)
+    assert pres != Presentation(("x", "y"), (Word(),))
+    assert pres != (("x", "y"), (Word(), Word(((1, 2),))))
+    assert repr(Presentation(("x",), (Word(((0, 1),)),))) == (
+        "Presentation(generators=('x',), relators=(Word(letters=((0, 1),)),))")
+    for name in ("generators", "relators", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(pres, name, ())
+    with pytest.raises(AttributeError):
+        del pres.relators
+    assert pres == same
+    assert copy.copy(pres) == pres and pickle.loads(pickle.dumps(pres)) == pres
 
 
 # --- parsing -----------------------------------------------------------------
