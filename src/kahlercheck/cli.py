@@ -4,8 +4,8 @@
     kahlercheck batch <dir> [--json]
     kahlercheck fixtures <dir>
 
-Exit codes: 0 success, 1 usage or I/O failure while writing fixtures,
-2 unreadable or unparseable input, or an analysis that failed (for
+Exit codes: 0 success, 1 I/O failure while writing fixtures, 2 usage
+error, unreadable or unparseable input, or an analysis that failed (for
 example with a MemoryError; reported as one line, never a traceback),
 3 oracle mismatch.
 """
@@ -76,12 +76,11 @@ def _failure(exc: Exception) -> str:
     return type(exc).__name__ + (": " + detail if detail else "")
 
 
-def _batch_rows(directory: Path) -> tuple[list[tuple[str, ObstructionReport]],
-                                          list[tuple[str, str]]]:
+def _batch_rows(paths: list[Path]) -> tuple[list[tuple[str, ObstructionReport]],
+                                           list[tuple[str, str]]]:
     rows: list[tuple[str, ObstructionReport]] = []
     errors: list[tuple[str, str]] = []
-    for path in sorted(p for p in directory.iterdir()
-                       if p.is_file() and not p.name.startswith(".")):
+    for path in paths:
         try:
             rows.append((path.name, report.build_report(_load(path))))
         except (ParseError, UnreadableInput) as exc:
@@ -96,7 +95,13 @@ def cmd_batch(directory: Path, as_json: bool,
     if not directory.is_dir():
         print(f"{directory}: not a directory", file=err)
         return 2
-    rows, errors = _batch_rows(directory)
+    try:
+        paths = sorted(p for p in directory.iterdir()
+                       if p.is_file() and not p.name.startswith("."))
+    except OSError as exc:
+        print(f"{directory}: cannot read {directory}: {exc.strerror or exc}", file=err)
+        return 2
+    rows, errors = _batch_rows(paths)
     if as_json:
         payload = {
             "schema": 1,

@@ -5,8 +5,8 @@ Pipeline, all over the rationals:
 1. Degree 1.  The exponent-sum vectors of the relators span a subspace
    of Q^n; the quotient is the rational abelianization, of dimension
    q = n - k where k is the rank of the relator span.  One elimination
-   of the exponent matrix gives both the quotient basis and integer
-   relator combinations whose exponent sums cancel.
+   of the exponent matrix's sparse integer rows gives both the quotient
+   basis and integer relator combinations whose exponent sums cancel.
 
 2. Degree 2.  Each rational combination of relators whose exponent sums
    cancel contributes a degree-2 relation: the antisymmetrized quadratic
@@ -38,7 +38,6 @@ from typing import NamedTuple
 from . import magnus
 from .linalg import (
     QuotientBasis,
-    RationalMatrix,
     Rref,
     SparseRow,
     alternating_rank,
@@ -49,26 +48,25 @@ from .presentation import Presentation
 
 
 class AbelianizationData(NamedTuple):
-    """Degree-1 layer: relator expansions, exponent matrix, its rank and kernel.
+    """Degree-1 layer: relator expansions, the exponent matrix's rank and kernel.
 
-    ``kernel`` holds s - k independent integer combinations of the
-    relators, each of length s, whose exponent sums cancel: a basis of
-    the left kernel of the exponent matrix.
+    Row i of the s x n exponent matrix M is ``series[i].linear``.
+    ``kernel`` holds s - k independent integer combinations lambda with
+    lambda M = 0, a basis of M's left kernel, as {relator: lambda} nonzeros.
     """
 
     series: tuple[magnus.Expansion, ...]   # expansion of relator i
-    exponent_matrix: RationalMatrix   # s x n, row i = exponent sums of relator i
     rank: int                         # k
-    kernel: tuple[tuple[int, ...], ...]   # s - k rows, one combination each
+    kernel: tuple[dict[int, int], ...]   # s - k combinations, nonzeros only
     quotient: QuotientBasis           # Q^n modulo the relator rows
 
     @property
     def n(self) -> int:
-        return self.exponent_matrix.cols
+        return self.quotient.reduced.cols
 
     @property
     def s(self) -> int:
-        return self.exponent_matrix.rows
+        return len(self.series)
 
     @property
     def q(self) -> int:
@@ -82,15 +80,13 @@ class AbelianizationData(NamedTuple):
 def abelianization_data(pres: Presentation) -> AbelianizationData:
     """Expand each relator and eliminate the exponent matrix M once.
 
-    One elimination of [M | I_s] gives the RREF of M, hence the rank and
-    the quotient basis, and s - k integer relator combinations whose
-    exponent sums cancel.
+    One elimination of the sparse rows [M | I_s] gives the RREF of M,
+    hence the rank and the quotient basis, and s - k integer relator
+    combinations whose exponent sums cancel.
     """
     series = tuple(magnus.expand(rel, pres.n) for rel in pres.relators)
-    matrix = RationalMatrix.from_rows([x.linear for x in series], pres.n)
-    reduced, kernel = rref_and_left_kernel(matrix)
-    return AbelianizationData(series, matrix, reduced.rank, kernel,
-                              QuotientBasis(reduced))
+    reduced, kernel = rref_and_left_kernel([x.linear for x in series], pres.n)
+    return AbelianizationData(series, reduced.rank, kernel, QuotientBasis(reduced))
 
 
 class CommutatorRelations(NamedTuple):
@@ -131,10 +127,9 @@ def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
     images = []
     for combination in ab.kernel:
         combined: dict[tuple[int, int], int] = {}
-        for lam, series in zip(combination, ab.series):
-            if lam:
-                for pair, c in series.wedge.items():
-                    combined[pair] = combined.get(pair, 0) + lam * c
+        for r, lam in combination.items():
+            for pair, c in ab.series[r].wedge.items():
+                combined[pair] = combined.get(pair, 0) + lam * c
         pushed: dict[int, Fraction] = {}
         for (i, j), c in combined.items():
             if not c:
@@ -215,7 +210,7 @@ def classify_relator_series(series: magnus.Expansion) -> RelatorClass:
     quadratic part Q has Q + Q^T = L L^T - diag(L) = 0, so it vanishes
     exactly when its wedge image does.
     """
-    if any(series.linear):
+    if series.linear:
         return RelatorClass.NOT_IN_GAMMA2
     if series.wedge:
         return RelatorClass.IN_GAMMA2_NOT_GAMMA3

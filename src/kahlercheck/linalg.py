@@ -6,11 +6,11 @@ operations and divided by the gcd of their entries, and each pivot row
 is divided by its pivot only at the end.  A row costs its nonzeros,
 however wide the space.  The RREF of a row space is unique, so the
 result is the one Gauss-Jordan elimination over Fraction gives, in any
-row order, and reports are reproducible byte for byte.  A dense
-``RationalMatrix`` holds the s x n exponent matrix.  The ``--oracle``
-route calls ``_eliminate`` itself on its sparse integer joint-span rows,
-so ``rref``, ``rank``, ``nullspace`` and ``quotient_basis`` have no
-caller outside this module; tests and the benchmark's tracer use them.
+row order, and reports are reproducible byte for byte.  The pipeline,
+exponent matrix included, and the ``--oracle`` route pass sparse rows
+only, so the dense ``RationalMatrix``, ``rref``, ``rank``, ``nullspace``,
+``quotient_basis`` and ``row_space_contains`` have no caller outside
+this module; tests and the benchmark's tracer use them.
 """
 
 from __future__ import annotations
@@ -106,24 +106,23 @@ def rref_rows(rows: Iterable[Mapping[int, Fraction | int]], cols: int) -> Rref:
     return _normalized(_eliminate(_integer_row(row) for row in rows), cols)
 
 
-def rref_and_left_kernel(
-        matrix: RationalMatrix) -> tuple[Rref, tuple[tuple[int, ...], ...]]:
-    """The RREF of M and an integer basis of its left kernel, from one elimination.
+def rref_and_left_kernel(rows: Iterable[Mapping[int, Fraction | int]], cols: int
+                         ) -> tuple[Rref, tuple[dict[int, int], ...]]:
+    """The RREF of sparse rows M and an integer basis of their left kernel.
 
     Row i of M is eliminated as [d M_i | d e_i], with d the lcm of its
-    denominators.  The pivot rows inside the first M.cols columns reduce
-    as ``rref(M)`` would.  The others are zero there and hold, in their
-    last M.rows entries, independent integer combinations lambda with
-    lambda M = 0, one per row beyond the rank.
+    denominators.  The pivot rows inside the first cols columns reduce as
+    ``rref_rows(M, cols)`` would.  The others are zero there and hold, in
+    columns cols + i, independent integer combinations lambda with
+    lambda M = 0, one per row beyond the rank, each as its nonzeros
+    {i: lambda_i}.
     """
-    n, s = matrix.cols, matrix.rows
-    reduced = _eliminate(_integer_row({**dict(enumerate(row)), n + i: 1})
-                         for i, row in enumerate(matrix.entries))
-    kernel = tuple(tuple(reduced[p].get(n + i, 0) for i in range(s))
-                   for p in sorted(reduced) if p >= n)
-    left = {p: {c: x for c, x in row.items() if c < n}
-            for p, row in reduced.items() if p < n}
-    return _normalized(left, n), kernel
+    reduced = _eliminate(_integer_row({**row, cols + i: 1}) for i, row in enumerate(rows))
+    kernel = tuple({c - cols: x for c, x in reduced[p].items()}
+                   for p in sorted(reduced) if p >= cols)
+    left = {p: {c: x for c, x in row.items() if c < cols}
+            for p, row in reduced.items() if p < cols}
+    return _normalized(left, cols), kernel
 
 
 def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:

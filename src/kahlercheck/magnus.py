@@ -4,8 +4,9 @@ Each generator x_i is sent to 1 + X_i in the algebra of noncommuting
 power series; a word w then maps to 1 + L + Q + ..., with L the exponent
 sums and Q the quadratic part, q_ij the coefficient of X_i X_j.  Since
 Q + Q^T = L L^T - diag(L) for every word, Q is fixed by L and its
-antisymmetric part, which ``expand`` keeps sparse: q_ij - q_ji on the
-pairs (i, j), i < j, that the word touches.  It works over ``int`` by
+antisymmetric part.  ``expand`` keeps both sparse: L on the generators
+with a nonzero exponent sum, q_ij - q_ji on the pairs (i, j), i < j,
+that the word touches.  It works over ``int`` by
 prefix sums in one pass over the letters.
 """
 
@@ -19,7 +20,7 @@ from .presentation import Word
 class Expansion(NamedTuple):
     """Exponent sums and antisymmetrized quadratic part of a word."""
 
-    linear: tuple[int, ...]              # exponent sum of each generator
+    linear: dict[int, int]               # nonzero exponent sums, by generator
     wedge: dict[tuple[int, int], int]    # nonzero q_ij - q_ji, i < j
 
 
@@ -47,5 +48,4 @@ def expand(word: Word, n: int) -> Expansion:
             linear[g] = lg
         else:
             del linear[g]
-    return Expansion(tuple(linear.get(i, 0) for i in range(n)),
-                     {pair: c for pair, c in wedge.items() if c})
+    return Expansion(linear, {pair: c for pair, c in wedge.items() if c})

@@ -90,6 +90,16 @@ def dense_expand(letters, n):
     return acc
 
 
+def dense_vector(sparse, n):
+    """The length-n tuple of a sparse {index: value} vector."""
+    return tuple(sparse.get(i, 0) for i in range(n))
+
+
+def exponent_matrix(ab):
+    """The dense s x n exponent matrix of ``abelianization_data``'s expansions."""
+    return RationalMatrix.from_rows([dense_vector(x.linear, ab.n) for x in ab.series], ab.n)
+
+
 def wedge_dict(coefficients, n):
     """The nonzero coefficients on wedge_pairs(n), keyed by pair."""
     return {pair: c for pair, c in zip(wedge_pairs(n), coefficients) if c}
@@ -208,7 +218,7 @@ def jointspan_dim2(pres):
                 lin[a] * unit[b] - lin[b] * unit[a] for a, b in pairs
             ))
     ab = abelianization_data(pres)
-    for lam in ab.kernel:
+    for lam in (dense_vector(lam, ab.s) for lam in ab.kernel):
         combined = [
             [sum((lam[r] * expansions[r].quadratic[i][j]
                   for r in range(len(expansions))), Fraction(0))
@@ -234,7 +244,7 @@ def dense_commutator_matrix(pres):
     coords = ab.quotient.coords
     quadratic = [dense_expand(rel.letters, n).quadratic for rel in pres.relators]
     columns = []
-    for lam in ab.kernel:
+    for lam in (dense_vector(lam, ab.s) for lam in ab.kernel):
         combined = [
             [sum((lam[r] * quadratic[r][i][j] for r in range(ab.s)), Fraction(0))
              for j in range(n)]

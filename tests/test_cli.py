@@ -347,6 +347,16 @@ def test_analyze_wide_presentations(tmp_path):
     assert code == 0 and err == ""
     assert "  dim Gamma2/Gamma3 = 1998999\n" in out
     assert "  surface genus match: 1000\n" in out
+    # 2999 relators on 3000 generators: degree 1 is sparse as well, with
+    # no s x n exponent matrix built
+    gens = " ".join(f"x{i}" for i in range(3000))
+    rels = " | ".join(f"(x{i},x{i + 1})" for i in range(2999))
+    chain = write(tmp_path, f"gens: {gens}\nrels: {rels}\n", "chain.pres")
+    start = time.perf_counter()
+    code, out, err = run(["analyze", str(chain)])
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    assert "  dim Gamma2/Gamma3 = 4495501\n" in out
     # the oracle's joint span is sparse too: C(n,2) is 7140 and 12,497,500
     few = " ".join(f"x{i}" for i in range(120))
     narrow = write(tmp_path, f"gens: {few}\nrels: (x0,x1) x2\n", "narrow.pres")
@@ -419,6 +429,23 @@ def test_batch_reports_unreadable_file(corpus_dir, monkeypatch):
     assert (f"error: surface_g2.pres: cannot read {target}: Permission denied"
             in out.splitlines())
     assert "line 0" not in out
+
+
+def test_batch_reports_unreadable_directory(corpus_dir, monkeypatch):
+    def failing(self):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(Path, "iterdir", failing)
+    code, out, err = run(["batch", str(corpus_dir)])
+    assert code == 2 and out == ""
+    assert err == f"{corpus_dir}: cannot read {corpus_dir}: Permission denied\n"
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["analyze"], []])
+def test_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: kahlercheck")
 
 
 @pytest.mark.parametrize("exc, message", FAILURES)

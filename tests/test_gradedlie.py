@@ -21,7 +21,9 @@ import cases
 from oracles import (
     coordinates,
     dense_commutator_matrix,
+    dense_vector,
     densify,
+    exponent_matrix,
     gauss_jordan_rref,
     jointspan_dim2,
 )
@@ -49,7 +51,7 @@ def test_degree1_independent_rows():
 def test_degree1_chain_plus_power():
     ab = abelianization_data(cases.CHAIN_PLUS_POWER)
     assert ab.rank == 1 and ab.q == 4 and ab.dim_kernel == 4
-    assert rank(ab.exponent_matrix) == 1
+    assert rank(exponent_matrix(ab)) == 1
     assert ab.quotient.reduced.pivots == (0,)
     # row space is spanned by (2, -2, 0, 2, 0)
     assert coordinates(ab.quotient, (2, -2, 0, 2, 0)) == (0, 0, 0, 0)
@@ -62,16 +64,19 @@ def test_degree1_chain_plus_power():
 @example(cases.TRIVIAL)
 def test_degree1_kernel_rows(pres):
     ab = abelianization_data(pres)
+    assert ab.n == pres.n and ab.s == pres.s
     assert len(ab.kernel) == ab.s - ab.rank == ab.dim_kernel
-    assert all(len(lam) == ab.s and all(type(x) is int for x in lam)
-               for lam in ab.kernel)
-    m = ab.exponent_matrix.entries
-    for lam in ab.kernel:   # lambda M = 0
+    assert all(0 <= r < ab.s and type(x) is int and x
+               for lam in ab.kernel for r, x in lam.items())
+    matrix = exponent_matrix(ab)
+    m = matrix.entries
+    kernel = [dense_vector(lam, ab.s) for lam in ab.kernel]
+    for lam in kernel:   # lambda M = 0
         assert all(sum(x * m[r][j] for r, x in enumerate(lam)) == 0 for j in range(ab.n))
-    if ab.kernel:
-        assert rank(RationalMatrix.from_rows(ab.kernel, ab.s)) == len(ab.kernel)
-    assert ab.rank == rank(ab.exponent_matrix)
-    assert ab.quotient == quotient_basis(ab.exponent_matrix, ab.n)
+    if kernel:
+        assert rank(RationalMatrix.from_rows(kernel, ab.s)) == len(kernel)
+    assert ab.rank == rank(matrix)
+    assert ab.quotient == quotient_basis(matrix, ab.n)
 
 
 # --- degree 2 ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from kahlercheck.linalg import (
     wedge_pairs,
 )
 
-from oracles import coordinates, densify, gauss_jordan_rref, wedge_dict
+from oracles import coordinates, dense_vector, densify, gauss_jordan_rref, wedge_dict
 from strategies import identity_matrix, rational_matrices, zero_matrix
 
 
@@ -141,10 +141,13 @@ def test_rref_rows_ignores_row_order(m, rnd):
 @example(zero_matrix(3, 2))
 @example(mat([[Fraction(1, 2), 1], [1, 2], [0, Fraction(-1, 3)]]))
 def test_rref_and_left_kernel(m):
-    red, kernel = rref_and_left_kernel(m)
+    red, sparse = rref_and_left_kernel(
+        [{c: x for c, x in enumerate(row) if x} for row in m.entries], m.cols)
     assert_is_gauss_jordan(red, m)
-    assert len(kernel) == m.rows - red.rank
-    assert all(len(lam) == m.rows and all(type(x) is int for x in lam) for lam in kernel)
+    assert len(sparse) == m.rows - red.rank
+    assert all(0 <= r < m.rows and type(x) is int and x
+               for lam in sparse for r, x in lam.items())
+    kernel = [dense_vector(lam, m.rows) for lam in sparse]
     for lam in kernel:   # lambda M = 0
         assert all(sum(x * row[j] for x, row in zip(lam, m.entries)) == 0
                    for j in range(m.cols))
