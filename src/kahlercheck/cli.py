@@ -47,7 +47,8 @@ def _load(path: Path):
 
 
 def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
-                out=sys.stdout, err=sys.stderr) -> int:
+                out=None, err=None) -> int:
+    out, err = out or sys.stdout, err or sys.stderr
     try:
         pres = _load(path)
     except (ParseError, UnreadableInput) as exc:
@@ -90,8 +91,8 @@ def _batch_rows(paths: list[Path]) -> tuple[list[tuple[str, ObstructionReport]],
     return rows, errors
 
 
-def cmd_batch(directory: Path, as_json: bool,
-              out=sys.stdout, err=sys.stderr) -> int:
+def cmd_batch(directory: Path, as_json: bool, out=None, err=None) -> int:
+    out, err = out or sys.stdout, err or sys.stderr
     if not directory.is_dir():
         print(f"{directory}: not a directory", file=err)
         return 2
@@ -125,7 +126,8 @@ def cmd_batch(directory: Path, as_json: bool,
     return 2 if errors else 0
 
 
-def cmd_fixtures(directory: Path, out=sys.stdout, err=sys.stderr) -> int:
+def cmd_fixtures(directory: Path, out=None, err=None) -> int:
+    out, err = out or sys.stdout, err or sys.stderr
     try:
         written = fixtures.write_corpus(directory)
     except OSError as exc:
@@ -160,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None,
-         out=sys.stdout, err=sys.stderr) -> int:
+def main(argv: list[str] | None = None, out=None, err=None) -> int:
+    """Run one command; out and err default to sys.stdout and sys.stderr at call time."""
     args = build_parser().parse_args(argv)
     if args.command == "analyze":
         return cmd_analyze(args.file, args.json, args.explain, args.oracle,

@@ -40,8 +40,8 @@ from .linalg import (
     QuotientBasis,
     Rref,
     SparseRow,
+    _integer_row,
     alternating_rank,
-    rref_and_left_kernel,
     rref_rows,
 )
 from .presentation import Presentation
@@ -52,7 +52,8 @@ class AbelianizationData(NamedTuple):
 
     Row i of the s x n exponent matrix M is ``series[i].linear``.
     ``kernel`` holds s - k independent integer combinations lambda with
-    lambda M = 0, a basis of M's left kernel, as {relator: lambda} nonzeros.
+    lambda M = 0, a basis of M's left kernel, as {relator: lambda} nonzeros:
+    the quotient rows of the RREF of M's columns, scaled to integers.
     """
 
     series: tuple[magnus.Expansion, ...]   # expansion of relator i
@@ -78,14 +79,24 @@ class AbelianizationData(NamedTuple):
 
 
 def abelianization_data(pres: Presentation) -> AbelianizationData:
-    """Expand each relator and eliminate the exponent matrix M once.
+    """Expand each relator and eliminate the exponent matrix M's rows and columns.
 
-    One elimination of the sparse rows [M | I_s] gives the RREF of M,
-    hence the rank and the quotient basis, and s - k integer relator
-    combinations whose exponent sums cancel.
+    The RREF of M's rows gives the rank k and the quotient basis.  The
+    left kernel of M is the nullspace of its transpose: the quotient
+    rows of the RREF of M's columns, s - k of them, each scaled to
+    integers.  With k = s the kernel is empty and the columns are not
+    eliminated.
     """
     series = tuple(magnus.expand(rel, pres.n) for rel in pres.relators)
-    reduced, kernel = rref_and_left_kernel([x.linear for x in series], pres.n)
+    reduced = rref_rows([x.linear for x in series], pres.n)
+    kernel: tuple[dict[int, int], ...] = ()
+    if reduced.rank < len(series):
+        columns: list[dict[int, int]] = [{} for _ in range(pres.n)]
+        for r, x in enumerate(series):
+            for j, e in x.linear.items():
+                columns[j][r] = e
+        transposed = QuotientBasis(rref_rows(columns, len(series)))
+        kernel = tuple(_integer_row(dict(row)) for row in transposed)
     return AbelianizationData(series, reduced.rank, kernel, QuotientBasis(reduced))
 
 

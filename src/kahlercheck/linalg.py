@@ -6,11 +6,13 @@ operations and divided by the gcd of their entries, and each pivot row
 is divided by its pivot only at the end.  A row costs its nonzeros,
 however wide the space.  The RREF of a row space is unique, so the
 result is the one Gauss-Jordan elimination over Fraction gives, in any
-row order, and reports are reproducible byte for byte.  The pipeline,
-exponent matrix included, and the ``--oracle`` route pass sparse rows
-only, so the dense ``RationalMatrix``, ``rref``, ``rank``, ``nullspace``,
-``quotient_basis`` and ``row_space_contains`` have no caller outside
-this module; tests and the benchmark's tracer use them.
+row order, and reports are reproducible byte for byte.  A nullspace is
+read off an RREF as the rows of ``QuotientBasis``; degree 1 reads the
+exponent matrix's left kernel off the RREF of its columns that way.  The
+pipeline, exponent matrix included, and the ``--oracle`` route pass
+sparse rows only, so the dense ``RationalMatrix``, ``rref``, ``rank``,
+``nullspace``, ``quotient_basis`` and ``row_space_contains`` have no
+caller outside this module; tests and the benchmark's tracer use them.
 """
 
 from __future__ import annotations
@@ -104,25 +106,6 @@ def rref(matrix: RationalMatrix) -> Rref:
 def rref_rows(rows: Iterable[Mapping[int, Fraction | int]], cols: int) -> Rref:
     """Reduced row-echelon form of sparse rows, given as column -> value maps."""
     return _normalized(_eliminate(_integer_row(row) for row in rows), cols)
-
-
-def rref_and_left_kernel(rows: Iterable[Mapping[int, Fraction | int]], cols: int
-                         ) -> tuple[Rref, tuple[dict[int, int], ...]]:
-    """The RREF of sparse rows M and an integer basis of their left kernel.
-
-    Row i of M is eliminated as [d M_i | d e_i], with d the lcm of its
-    denominators.  The pivot rows inside the first cols columns reduce as
-    ``rref_rows(M, cols)`` would.  The others are zero there and hold, in
-    columns cols + i, independent integer combinations lambda with
-    lambda M = 0, one per row beyond the rank, each as its nonzeros
-    {i: lambda_i}.
-    """
-    reduced = _eliminate(_integer_row({**row, cols + i: 1}) for i, row in enumerate(rows))
-    kernel = tuple({c - cols: x for c, x in reduced[p].items()}
-                   for p in sorted(reduced) if p >= cols)
-    left = {p: {c: x for c, x in row.items() if c < cols}
-            for p, row in reduced.items() if p < cols}
-    return _normalized(left, cols), kernel
 
 
 def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:

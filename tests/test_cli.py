@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -66,6 +67,19 @@ def test_analyze_surface_text(corpus_dir):
     assert "dim Gamma2/Gamma3 = 5" in out
     assert "overall: NOT_NONFIBERED_KAHLER" in out
     assert "NOT_KAHLER" not in out.replace("NOT_NONFIBERED_KAHLER", "")
+
+
+def test_analyze_writes_to_a_redirected_stdout(tmp_path):
+    # main looks sys.stdout and sys.stderr up when it runs, not at import
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["fixtures", str(tmp_path)]) == 0
+        wrote = out.getvalue()
+        path = str(tmp_path / "surface_g2.pres")
+        assert main(["analyze", path]) == 0
+    assert wrote == f"wrote {len(CORPUS)} files to {tmp_path}\n"
+    assert err.getvalue() == ""
+    assert out.getvalue()[len(wrote):] == run(["analyze", path])[1]
 
 
 def test_analyze_combined_route(corpus_dir):
@@ -357,6 +371,17 @@ def test_analyze_wide_presentations(tmp_path):
     assert time.perf_counter() - start < 10
     assert code == 0 and err == ""
     assert "  dim Gamma2/Gamma3 = 4495501\n" in out
+    # 1199 relators x_i x_{i+1}^2 of rank s: degree 1 builds no s x s block
+    # of big integers beside the exponent rows
+    gens = " ".join(f"x{i}" for i in range(1200))
+    rels = " | ".join(f"x{i} x{i + 1}^2" for i in range(1199))
+    squares = write(tmp_path, f"gens: {gens}\nrels: {rels}\n", "squares.pres")
+    start = time.perf_counter()
+    code, out, err = run(["analyze", str(squares)])
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    assert "  q (rational abelianization rank) = 1\n" in out
+    assert "  dim Gamma2/Gamma3 = 0\n" in out
     # the oracle's joint span is sparse too: C(n,2) is 7140 and 12,497,500
     few = " ".join(f"x{i}" for i in range(120))
     narrow = write(tmp_path, f"gens: {few}\nrels: (x0,x1) x2\n", "narrow.pres")

@@ -62,6 +62,7 @@ def test_degree1_chain_plus_power():
 @example(cases.CHAIN_PLUS_POWER)
 @example(cases.THREE_RELATOR_RANK2)     # empty kernel
 @example(cases.TRIVIAL)
+@example(parse_presentation("gens: x0 x1 x2\nrels: x0 x1^2 | x1 x2^2 | x0 x2^-4\n"))
 def test_degree1_kernel_rows(pres):
     ab = abelianization_data(pres)
     assert ab.n == pres.n and ab.s == pres.s

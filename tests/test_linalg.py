@@ -14,12 +14,11 @@ from kahlercheck.linalg import (
     rank,
     row_space_contains,
     rref,
-    rref_and_left_kernel,
     rref_rows,
     wedge_pairs,
 )
 
-from oracles import coordinates, dense_vector, densify, gauss_jordan_rref, wedge_dict
+from oracles import coordinates, densify, gauss_jordan_rref, wedge_dict
 from strategies import identity_matrix, rational_matrices, zero_matrix
 
 
@@ -134,25 +133,6 @@ def test_rref_rows_ignores_row_order(m, rnd):
     rows = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
     rnd.shuffle(rows)
     assert rref_rows(rows, m.cols) == rref(m)
-
-
-@given(elimination_matrices())
-@example(RationalMatrix.from_rows([], cols=3))
-@example(zero_matrix(3, 2))
-@example(mat([[Fraction(1, 2), 1], [1, 2], [0, Fraction(-1, 3)]]))
-def test_rref_and_left_kernel(m):
-    red, sparse = rref_and_left_kernel(
-        [{c: x for c, x in enumerate(row) if x} for row in m.entries], m.cols)
-    assert_is_gauss_jordan(red, m)
-    assert len(sparse) == m.rows - red.rank
-    assert all(0 <= r < m.rows and type(x) is int and x
-               for lam in sparse for r, x in lam.items())
-    kernel = [dense_vector(lam, m.rows) for lam in sparse]
-    for lam in kernel:   # lambda M = 0
-        assert all(sum(x * row[j] for x, row in zip(lam, m.entries)) == 0
-                   for j in range(m.cols))
-    if kernel:
-        assert rank(mat(kernel)) == len(kernel)
 
 
 # --- nullspace -------------------------------------------------------------------
