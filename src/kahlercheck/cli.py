@@ -5,14 +5,18 @@
     kahlercheck fixtures <dir>
 
 Exit codes: 0 success, 1 I/O failure while writing fixtures, 2 usage
-error, unreadable or unparseable input, or an analysis that failed (for
-example with a MemoryError; reported as one line, never a traceback),
-3 oracle mismatch.
+error, unreadable or unparseable input, or a parse or analysis that
+failed (for example with a MemoryError; reported as one line, never a
+traceback), 3 oracle mismatch.
+
+``main`` parses each command line with one parser kept for the process,
+so in-process callers build it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,6 +57,9 @@ def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
         pres = _load(path)
     except (ParseError, UnreadableInput) as exc:
         print(f"{path}: {exc}", file=err)
+        return 2
+    except Exception as exc:   # e.g. MemoryError while parsing
+        print(f"{path}: {_failure(exc)}", file=err)
         return 2
     try:
         doc = report.build_report(pres)
@@ -162,9 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser ``main`` uses, built on its first call and then kept for the
+# process: building one costs more than parsing a command line with it,
+# and parsing leaves it unchanged (each call gets a new namespace).
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     """Run one command; out and err default to sys.stdout and sys.stderr at call time."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "analyze":
         return cmd_analyze(args.file, args.json, args.explain, args.oracle,
                            out=out, err=err)

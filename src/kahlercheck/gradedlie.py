@@ -28,8 +28,6 @@ matrix q antisymmetrizes to q - q^T (off by an overall factor 2 from the
 normalized commutator coordinates, which does not change any span).
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from fractions import Fraction
 from math import comb

@@ -15,8 +15,6 @@ sparse rows only, so the dense ``RationalMatrix``, ``rref``, ``rank``,
 caller outside this module; tests and the benchmark's tracer use them.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence

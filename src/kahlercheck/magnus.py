@@ -10,8 +10,6 @@ that the word touches.  It works over ``int`` by
 prefix sums in one pass over the letters.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .presentation import Word
@@ -31,21 +29,25 @@ def expand(word: Word, n: int) -> Expansion:
     (1 + X_g)^m = 1 + m X_g + ... adds L[i]*m to Q[i][g] for every i,
     which is L[i]*m on the pair (i, g) when i < g and -L[i]*m on (g, i)
     when i > g; then m is added to L[g].  Only the support of L is
-    visited, so each letter costs at most n steps.
+    visited, so each letter costs at most n steps.  The pair (i, j)
+    accumulates under the integer key i*n + j, cheaper to hash than a
+    tuple; only the nonzeros are turned back into pairs.
     """
     if word.max_generator() >= n:
         raise ValueError("word uses a generator index outside the ambient rank")
     linear: dict[int, int] = {}   # support of L
-    wedge: dict[tuple[int, int], int] = {}
+    wedge: dict[int, int] = {}    # q_ij - q_ji under the key i*n + j
     for g, m in word.letters:
         for i, li in linear.items():
             if i < g:
-                wedge[i, g] = wedge.get((i, g), 0) + li * m
+                key = i * n + g
+                wedge[key] = wedge.get(key, 0) + li * m
             elif i > g:
-                wedge[g, i] = wedge.get((g, i), 0) - li * m
+                key = g * n + i
+                wedge[key] = wedge.get(key, 0) - li * m
         lg = linear.get(g, 0) + m
         if lg:
             linear[g] = lg
         else:
             del linear[g]
-    return Expansion(linear, {pair: c for pair, c in wedge.items() if c})
+    return Expansion(linear, {divmod(key, n): c for key, c in wedge.items() if c})

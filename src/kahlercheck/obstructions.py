@@ -12,8 +12,6 @@ A verdict's ``theorem`` field is a short fixed tag naming the result
 behind the test; reports and the --explain flag surface it verbatim.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from math import comb
 from typing import NamedTuple

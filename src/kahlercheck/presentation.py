@@ -1,6 +1,8 @@
 """Free-group words and finite group presentations.
 
-File format (one presentation per file, UTF-8, LF or CRLF line ends):
+File format (one presentation per file, UTF-8; lines end as in
+``str.splitlines``: at LF, CRLF, a lone CR, VT, FF, FS, GS, RS, NEL,
+U+2028 or U+2029):
 
     gens: a b c          # generator names: [A-Za-z][A-Za-z0-9_]*
     rels: a b a^-1 b^-1 | (a, c)
@@ -20,6 +22,11 @@ whitespace is an error at its line and column.
 A relator may expand to at most ``MAX_LETTERS`` letters (maximal powers
 of one generator) after free reduction; every power, commutator and
 product is checked against that bound before it is built.
+
+Every word the parser builds, down to each factor, is kept normalized:
+no two adjacent letters share a generator and no exponent is zero.  So
+joining two words can merge or cancel letters only at the junction
+(``_join``), and a relator is never normalized a second time.
 """
 
 from __future__ import annotations
@@ -51,19 +58,12 @@ class ParseError(ValueError):
 
 
 def _normalize(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Merge adjacent letters on the same generator, dropping zero exponents."""
-    out: list[tuple[int, int]] = []
-    _extend_reduced(out, letters)
-    return tuple(out)
+    """Merge adjacent letters on the same generator, dropping zero exponents.
 
-
-def _extend_reduced(out: list[tuple[int, int]],
-                    letters: Iterable[tuple[int, int]]) -> None:
-    """Append letters to the normalized word ``out``, keeping it normalized.
-
-    Each appended letter merges with, or cancels, the last letter of
-    ``out``, so appending is linear in the letters appended and removed.
+    Each letter merges with, or cancels, the last letter kept so far, so
+    this is linear in the letters.
     """
+    out: list[tuple[int, int]] = []
     for gen, exp in letters:
         if exp == 0:
             continue
@@ -72,9 +72,10 @@ def _extend_reduced(out: list[tuple[int, int]],
             if merged == 0:
                 out.pop()
             else:
-                out[-1] = (out[-1][0], merged)
+                out[-1] = (gen, merged)
         else:
             out.append((gen, exp))
+    return tuple(out)
 
 
 # Normalized words as letter sequences, shared by ``Word`` and the parser.
@@ -83,6 +84,25 @@ _Letters = Sequence[tuple[int, int]]
 
 def _inverse(a: _Letters) -> list[tuple[int, int]]:
     return [(g, -e) for g, e in reversed(a)]
+
+
+def _join(out: list[tuple[int, int]], b: _Letters) -> None:
+    """Append the normalized word b to the normalized word out, in place.
+
+    Only the letters at the junction can cancel, pairwise, until one pair
+    merges into a nonzero power or a side runs out; the rest of b is then
+    copied in bulk, so a join costs the cancelled letters, not len(b).
+    """
+    j = 0
+    while out and j < len(b) and out[-1][0] == b[j][0]:
+        gen, exp = b[j]
+        j += 1
+        merged = out[-1][1] + exp
+        if merged:
+            out[-1] = (gen, merged)
+            break
+        out.pop()
+    out.extend(b[j:] if j else b)
 
 
 def _conjugator_length(a: _Letters) -> int:
@@ -118,7 +138,13 @@ def _power_length(a: _Letters, m: int) -> int:
 
 
 def _power(a: _Letters, m: int) -> tuple[tuple[int, int], ...]:
-    """a ** m, built as u c^m u^-1 without repeated products."""
+    """a ** m for normalized a, built as u c^m u^-1 without repeated products.
+
+    The copies of c meet only at their junctions, and merge there just
+    when c starts and ends on the same generator (``_power_length``);
+    otherwise u, the copies of c and u^-1 are already normalized side by
+    side and are concatenated as they are.
+    """
     if not m or not a:
         return ()
     if len(a) == 1:
@@ -133,7 +159,9 @@ def _power(a: _Letters, m: int) -> tuple[tuple[int, int], ...]:
         powered = [(gen, exp * m)]
     else:
         powered = list(core) * m
-    return _normalize([*a[:k], *powered, *a[len(a) - k:]])
+    if len(core) > 1 and core[0][0] == core[-1][0]:   # the copies of c merge
+        return _normalize([*a[:k], *powered, *a[len(a) - k:]])
+    return (*a[:k], *powered, *a[len(a) - k:])
 
 
 class Record:
@@ -192,19 +220,28 @@ class Word(Record):
                 raise ValueError(f"exponent must be an int, got {exp!r}")
         object.__setattr__(self, "letters", _normalize(letters))
 
+    @classmethod
+    def _normalized(cls, letters: tuple[tuple[int, int], ...]) -> "Word":
+        """A word on letters that are already normalized, taken as they are."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     @staticmethod
     def generator(index: int, exponent: int = 1) -> "Word":
         return Word(((index, exponent),))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        letters = list(self.letters)
+        _join(letters, other.letters)
+        return Word._normalized(tuple(letters))
 
     def inverse(self) -> "Word":
-        return Word(tuple(_inverse(self.letters)))
+        return Word._normalized(tuple(_inverse(self.letters)))
 
     def __pow__(self, m: int) -> "Word":
         """self ** m, built as u c^m u^-1 (see ``power_length``)."""
-        return Word(_power(self.letters, m))
+        return Word._normalized(_power(self.letters, m))
 
     def product_length(self, other: "Word") -> int:
         """Letters in self * other, computed without building it."""
@@ -317,7 +354,7 @@ class _WordParser:
     """Recursive-descent parser for one relator's token list.
 
     Words are built as normalized letter lists; only the relator itself
-    becomes a ``Word``.
+    becomes a ``Word``, taken as it is (``Word._normalized``).
     """
 
     def __init__(self, tokens: list[_Token], gen_index: dict[str, int]):
@@ -348,7 +385,7 @@ class _WordParser:
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok[1]!r}", tok[2], tok[3])
-        return Word(tuple(letters))
+        return Word._normalized(tuple(letters))
 
     def parse_word(self, closers: tuple[str, ...]) -> list[tuple[int, int]]:
         """The product of the factors up to a closer, reduced as it is read.
@@ -360,7 +397,7 @@ class _WordParser:
             tok = self._peek()
             if tok is None or tok[0] in closers:
                 return letters
-            _extend_reduced(letters, self.parse_factor())
+            _join(letters, self.parse_factor())
             _check_length(len(letters), tok)
 
     def parse_factor(self) -> _Letters:
@@ -416,7 +453,7 @@ class _WordParser:
         word = list(factors[0])
         for factor in factors[1:]:
             _check_length(_product_length(word, factor), tok)
-            _extend_reduced(word, factor)
+            _join(word, factor)
         return word
 
 

@@ -34,6 +34,26 @@ def commutator_words_with_rank(draw, max_gens: int = 5):
 
 
 @st.composite
+def relator_texts(draw, n: int, depth: int = 2):
+    """Relator text over x0 .. x{n-1} with powers, groups and commutators,
+    and the letters it denotes, concatenated without any reduction."""
+    kind = draw(st.sampled_from(("letter", "group", "commutator") if depth else ("letter",)))
+    if kind == "letter":
+        gen, exp = draw(st.integers(0, n - 1)), draw(st.integers(-3, 3))
+        return f"x{gen}^{exp}", [(gen, exp)]
+    parts = [draw(relator_texts(n, depth - 1)) for _ in range(draw(st.integers(1, 3)))]
+    text, letters = " ".join(t for t, _ in parts), [a for _, ls in parts for a in ls]
+    if kind == "group":
+        m = draw(st.integers(-3, 3))
+        copies = letters if m >= 0 else [(g, -e) for g, e in reversed(letters)]
+        return f"({text})^{m}", copies * abs(m)
+    other, second = draw(relator_texts(n, depth - 1))
+    return (f"({text}, {other})", letters + second
+            + [(g, -e) for g, e in reversed(letters)]
+            + [(g, -e) for g, e in reversed(second)])
+
+
+@st.composite
 def presentations(draw, max_gens: int = 5, max_rels: int = 6):
     n = draw(st.integers(1, max_gens))
     s = draw(st.integers(0, max_rels))

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from kahlercheck import nilpotent, report
-from kahlercheck.cli import main
+from kahlercheck import cli, nilpotent, report
+from kahlercheck.cli import build_parser, main
 from kahlercheck.presentation import parse_presentation
 from kahlercheck.fixtures import (
     CORPUS,
@@ -140,6 +140,7 @@ FAILURES = [
     (nilpotent, "commutator_quotient_dim", ["--oracle"]),
     (report, "render_text", ["--explain"]),
     (report, "render_json", ["--json"]),
+    (cli, "parse_presentation", []),   # e.g. a MemoryError building a long relator
 ])
 @pytest.mark.parametrize("exc, message", FAILURES)
 def test_analyze_reports_a_failed_analysis(corpus_dir, monkeypatch, owner, name,
@@ -473,6 +474,33 @@ def test_usage_errors_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("usage: kahlercheck")
 
 
+def test_main_reuses_one_parser_and_no_state(corpus_dir, capsys):
+    # Each command line gives in-process, in any order, what it gives as
+    # the first call of a fresh interpreter.
+    path = str(corpus_dir / "chain_link_4.pres")
+    argvs = [["analyze", path, "--json"], ["analyze", path, "--explain", "--oracle"],
+             ["analyze", path], ["batch", str(corpus_dir)], ["analyze", path, "--bogus"]]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from kahlercheck.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=env, timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert fresh[-1][0] == 2 and fresh[-1][2].startswith("usage: kahlercheck")
+    for i in [0, 1, 2, 3, 4, 2, 0, 4, 3, 1, 2]:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            code = main(argvs[i], out=out, err=err)
+        except SystemExit as exc:
+            code = exc.code
+        usage = capsys.readouterr()
+        assert (code, out.getvalue() + usage.out, err.getvalue() + usage.err) == fresh[i]
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
 @pytest.mark.parametrize("exc, message", FAILURES)
 def test_batch_records_any_per_file_exception(tmp_path, monkeypatch, exc, message):
     # one file of three fails inside the analysis; the others keep their rows
@@ -552,6 +580,20 @@ def test_cli_import_loads_no_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_record_annotations_are_evaluated():
+    # A string annotation costs a ForwardRef compile per field at import.
+    import typing
+    from kahlercheck import gradedlie, linalg, magnus, obstructions
+    records = [obj for module in (gradedlie, linalg, magnus, obstructions)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, tuple)
+               and obj.__module__ == module.__name__]
+    assert len(records) == 9
+    for record in records:
+        for name, annotation in record.__annotations__.items():
+            assert not isinstance(annotation, (str, typing.ForwardRef)), (record, name)
 
 
 def test_search_script_runs_outside_repository(tmp_path):

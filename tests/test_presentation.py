@@ -6,7 +6,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kahlercheck import presentation
@@ -19,7 +19,7 @@ from kahlercheck.presentation import (
     parse_presentation,
 )
 
-from strategies import presentations, raw_letters, words_with_rank
+from strategies import presentations, raw_letters, relator_texts, words_with_rank
 
 PARSE_CASES = json.loads(
     (Path(__file__).parent / "data" / "parse_errors.json").read_text(encoding="utf-8")
@@ -121,6 +121,54 @@ def test_inverse_is_involution(data):
 def test_word_times_inverse_is_empty(data):
     _, word = data
     assert word * word.inverse() == Word()
+
+
+# Every word the parser builds is normalized, so a join reduces only at the
+# junction and a power of u c u^-1 only where copies of c meet.  Each
+# shortcut must agree with normalizing the plain concatenation.
+
+@given(words_with_rank(), st.data())
+def test_join_reduces_only_at_the_junction(data, extra):
+    n, a = data
+    # b starts by undoing a suffix of a, so the junction cancels repeatedly
+    cut = extra.draw(st.integers(0, len(a.letters)))
+    b = Word(a.inverse().letters[:len(a.letters) - cut]
+             + tuple(extra.draw(raw_letters(n))))
+    joined = list(a.letters)
+    presentation._join(joined, b.letters)
+    assert tuple(joined) == Word(a.letters + b.letters).letters
+    assert a * b == Word(a.letters + b.letters)
+
+
+def test_join_cancels_through_the_junction():
+    # x y^2 x^-1 . x y^-2 x^3 y = x^4 y: two cancellations, then a merge
+    joined = [(0, 1), (1, 2), (0, -1)]
+    presentation._join(joined, ((0, 1), (1, -2), (0, 3), (1, 1)))
+    assert joined == [(0, 4), (1, 1)]
+
+
+@given(words_with_rank(), st.integers(-6, 6))
+@example((2, Word(((0, 1), (1, 1), (0, 1)))), 3)            # x y x: copies merge
+@example((2, Word(((0, 1), (1, 1), (0, -1)))), -3)          # x y x^-1 = u c u^-1
+@example((3, Word(((2, 1), (0, 1), (1, 1), (0, 2), (2, -1)))), 2)  # z (x y x^2) z^-1
+def test_power_is_the_normalized_repeated_word(data, m):
+    _, word = data
+    copies = word.letters if m >= 0 else word.inverse().letters
+    assert presentation._power(word.letters, m) == Word(copies * abs(m)).letters
+    conj = Word(((0, 1),) + word.letters + ((0, -1),))
+    copies = conj.letters if m >= 0 else conj.inverse().letters
+    assert presentation._power(conj.letters, m) == Word(copies * abs(m)).letters
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), relator_texts(n))))
+def test_parsed_relator_is_the_constructed_word(case):
+    n, (text, letters) = case
+    gens = " ".join(f"x{i}" for i in range(n))
+    relator, = parse_presentation(f"gens: {gens}\nrels: {text}\n").relators
+    built = Word(letters)
+    assert relator == built and hash(relator) == hash(built)
+    assert relator.letters == built.letters
 
 
 def test_word_is_an_immutable_value():
@@ -225,6 +273,14 @@ def test_parse_comments_and_crlf():
     text = "# leading comment\r\ngens: x y # the generators\r\nrels: (x,y) # torus\r\n"
     pres = parse_presentation(text)
     assert pres.n == 2 and pres.s == 1
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d",
+                                 "\x1e", "\x85", "\u2028", "\u2029"])
+def test_parse_line_ends(sep):
+    # lines end wherever str.splitlines ends them, as the module documents
+    pres = parse_presentation(f"gens: x y{sep}rels: x{sep}y{sep}")
+    assert pres.relators == (Word.generator(0), Word.generator(1))
 
 
 def test_parse_explicit_plus_exponent():
