@@ -55,13 +55,6 @@ def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
     out, err = out or sys.stdout, err or sys.stderr
     try:
         pres = _load(path)
-    except (ParseError, UnreadableInput) as exc:
-        print(f"{path}: {exc}", file=err)
-        return 2
-    except Exception as exc:   # e.g. MemoryError while parsing
-        print(f"{path}: {_failure(exc)}", file=err)
-        return 2
-    try:
         doc = report.build_report(pres)
         mismatch = report.oracle_mismatch(pres, doc) if oracle else None
         if mismatch is None:
@@ -79,8 +72,14 @@ def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
 
 
 def _failure(exc: Exception) -> str:
-    """An analysis failure as ``Type: message``, or ``Type`` without one."""
+    """The one line a failed file reports after its path or name.
+
+    A ParseError or UnreadableInput is its message; any other exception
+    is ``Type: message``, or ``Type`` without one.
+    """
     detail = str(exc)
+    if isinstance(exc, (ParseError, UnreadableInput)):
+        return detail
     return type(exc).__name__ + (": " + detail if detail else "")
 
 
@@ -91,8 +90,6 @@ def _batch_rows(paths: list[Path]) -> tuple[list[tuple[str, ObstructionReport]],
     for path in paths:
         try:
             rows.append((path.name, report.build_report(_load(path))))
-        except (ParseError, UnreadableInput) as exc:
-            errors.append((path.name, str(exc)))
         except Exception as exc:   # e.g. MemoryError: one file never aborts the batch
             errors.append((path.name, _failure(exc)))
     return rows, errors

@@ -207,23 +207,16 @@ def evaluate_computed(pres: Presentation,
     )
 
     q, dim2 = ab.q, rel.dim2
-    verdicts: list[Verdict] = []
-    for verdict in (
+    m_max, albanese_verdict = albanese_bound(ab.dim_kernel, q, genus)
+    checks = [
         check_even_rank(q),
         check_free_algebra(q, free),
         check_low_relator_count(pres.s, q, genus, relator_class),
-    ):
-        if verdict is not None:
-            verdicts.append(verdict)
-    m_max, albanese_verdict = albanese_bound(ab.dim_kernel, q, genus)
-    if albanese_verdict is not None:
-        verdicts.append(albanese_verdict)
-    for verdict in (
+        albanese_verdict,
         check_nonfibered_bound(q, dim2),
         check_relation_count(pres.n, ab.rank, pres.s),
-    ):
-        if verdict is not None:
-            verdicts.append(verdict)
+    ]
+    verdicts = [v for v in checks if v is not None]
     excluded, all_excluded = fibered_genus_exclusion(q, dim2)
     if all_excluded:
         verdicts.append(Verdict(

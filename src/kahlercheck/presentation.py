@@ -262,7 +262,7 @@ class Word(Record):
 
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
-        return max((g for g, _ in self.letters), default=-1)
+        return max(self.letters, default=(-1, 0))[0]
 
     def __bool__(self) -> bool:
         return bool(self.letters)

@@ -10,9 +10,12 @@ matrix entries as exact rational strings from Fraction (``"3"``,
     theorem, detail}], overall
 
 Both renderers return the document as one string, made from a list of
-pieces joined once.  Each differential row, dense in the output, is the
-all-zero row of width C(q,2), formatted once per report, with the row's
-nonzeros spliced in, so a row costs its nonzeros and one copy.
+pieces joined once.  The JSON document is one ``json.dumps(..., indent=2,
+ensure_ascii=False)`` of the schema with an empty differential, and the
+differential's rows are spliced in at that one marker.  Each differential
+row, dense in the output, is the all-zero row of width C(q,2), formatted
+once per report, with the row's nonzeros spliced in, so a row costs its
+nonzeros and one copy.
 """
 
 from __future__ import annotations
@@ -132,54 +135,44 @@ def _exact(x: Fraction) -> str:
         return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
-def _json_member(key: str, value: object, pad: str) -> str:
-    """One ``"key": value`` member of an indent-2 document at depth ``pad``.
-
-    ``json.dumps`` escapes newlines inside strings, so each newline in its
-    output is layout and takes the member's indentation.
-    """
-    text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + pad)
-    return f"{pad}{json.dumps(key)}: {text}"
-
-
 def render_json(doc: ObstructionReport) -> str:
-    """The schema-1 document, laid out as ``json.dumps(..., indent=2)`` does.
+    """The schema-1 document: ``json.dumps(..., indent=2, ensure_ascii=False)``.
 
     The differential, which holds almost all of a large document, is
-    written directly from its sparse rows (its entries are Fraction
-    strings, which need no escaping); every other value goes through
-    ``json.dumps``.  The pieces are joined once, at the end.
+    dumped as ``[]`` and its rows, written directly from the sparse rows
+    (their entries are Fraction strings, which need no escaping), are
+    spliced in at that marker.  The pieces are joined once, at the end.
     """
     model = doc.model
-    head = (
-        ("schema", 1),
-        ("presentation", doc.presentation),
-        ("n", doc.n),
-        ("s", doc.s),
-        ("k", doc.k),
-        ("q", doc.q),
-        ("dim_ker_d0", doc.dim_kernel),
-        ("dim_ker_d1", doc.dim_kernel_deg2),
-        ("dim_W", doc.dim_relations),
-        ("dim_gamma2_gamma3", doc.dim2),
-        ("grl_free", doc.free_two_step),
-        ("surface_genus", doc.surface_genus),
-        ("m_max", doc.m_max),
-        ("excluded_genera", list(doc.excluded_genera)),
-    )
-    verdicts = [
-        {"code": v.code.value, "theorem": v.theorem, "detail": v.detail}
-        for v in doc.verdicts
-    ]
-    pieces = ["{\n"]
-    for key, value in head:
-        pieces += [_json_member(key, value, "  "), ",\n"]
-    pieces += [
-        '  "minimal_model": {\n',
-        _json_member("dimV1", model.dim_v1, "    "), ",\n",
-        _json_member("dimV2", model.dim_v2, "    "), ",\n",
-        '    "differential": [',
-    ]
+    document = {
+        "schema": 1,
+        "presentation": doc.presentation,
+        "n": doc.n,
+        "s": doc.s,
+        "k": doc.k,
+        "q": doc.q,
+        "dim_ker_d0": doc.dim_kernel,
+        "dim_ker_d1": doc.dim_kernel_deg2,
+        "dim_W": doc.dim_relations,
+        "dim_gamma2_gamma3": doc.dim2,
+        "grl_free": doc.free_two_step,
+        "surface_genus": doc.surface_genus,
+        "m_max": doc.m_max,
+        "excluded_genera": doc.excluded_genera,
+        "minimal_model": {
+            "dimV1": model.dim_v1, "dimV2": model.dim_v2, "differential": [],
+        },
+        "verdicts": [
+            {"code": v.code.value, "theorem": v.theorem, "detail": v.detail}
+            for v in doc.verdicts
+        ],
+        "overall": doc.overall.value,
+    }
+    # The marker occurs once: "differential" is the only key of that name,
+    # and every '"' inside a JSON string is escaped, so no value holds it.
+    head, _, tail = json.dumps(document, indent=2, ensure_ascii=False).partition(
+        '"differential": []')
+    pieces = [head, '"differential": [']
     row_sep = "\n"
     for row in _differential_rows(model, '",\n        "'):
         pieces.append(row_sep + '      [\n        "')
@@ -188,9 +181,5 @@ def render_json(doc: ObstructionReport) -> str:
         row_sep = ",\n"
     if model.dim_v2:
         pieces.append("\n    ")
-    pieces += [
-        "]\n  },\n",
-        _json_member("verdicts", verdicts, "  "), ",\n",
-        _json_member("overall", doc.overall.value, "  "), "\n}\n",
-    ]
+    pieces += ["]", tail, "\n"]
     return "".join(pieces)

@@ -441,15 +441,19 @@ def test_batch_reports_bad_file(corpus_dir):
     assert len(names) == len(CORPUS)
 
 
-def test_batch_reports_unreadable_file(corpus_dir, monkeypatch):
-    target = corpus_dir / "surface_g2.pres"
+def unreadable(path, monkeypatch):
     read_bytes = Path.read_bytes
 
     def failing(self):
-        if self == target:
+        if self == path:
             raise PermissionError(13, "Permission denied")
         return read_bytes(self)
     monkeypatch.setattr(Path, "read_bytes", failing)
+
+
+def test_batch_reports_unreadable_file(corpus_dir, monkeypatch):
+    target = corpus_dir / "surface_g2.pres"
+    unreadable(target, monkeypatch)
     code, out, _ = run(["batch", str(corpus_dir)])
     assert code == 2
     assert (f"error: surface_g2.pres: cannot read {target}: Permission denied"
@@ -499,6 +503,32 @@ def test_main_reuses_one_parser_and_no_state(corpus_dir, capsys):
         assert (code, out.getvalue() + usage.out, err.getvalue() + usage.err) == fresh[i]
     assert cli._parser() is cli._parser()
     assert build_parser() is not build_parser()
+
+
+def out_of_memory(path, monkeypatch):
+    def failing(pres):
+        raise MemoryError
+    monkeypatch.setattr(report, "build_report", failing)
+
+
+@pytest.mark.parametrize("data, patch, message", [
+    (b"gens: x\nrels: x^\n", None,
+     "line 2, column 9: unexpected end of relator (expected int)"),
+    (b"gens: x\nrels: x\xff\n", None, "line 2, column 8: invalid UTF-8 byte 0xff"),
+    (b"gens: x\nrels: x^2\n", unreadable, "cannot read {path}: Permission denied"),
+    (b"gens: x\nrels: x^2\n", out_of_memory, "MemoryError"),
+])
+def test_analyze_and_batch_report_a_failure_alike(tmp_path, monkeypatch, data, patch,
+                                                 message):
+    path = tmp_path / "bad.pres"
+    path.write_bytes(data)
+    if patch:
+        patch(path, monkeypatch)
+    message = message.format(path=path)
+    code, out, err = run(["analyze", str(path)])
+    assert (code, out, err) == (2, "", f"{path}: {message}\n")
+    code, out, err = run(["batch", str(tmp_path)])
+    assert (code, out.splitlines()[1:], err) == (2, [f"error: bad.pres: {message}"], "")
 
 
 @pytest.mark.parametrize("exc, message", FAILURES)

@@ -274,6 +274,8 @@ def test_known_kahler_controls_fire_nothing_fatal():
 @example(cases.surface_group(3))
 @example(parse_presentation("gens: a b c\nrels: (a,b) (b,c)^-1"))  # first and last columns
 @example(parse_presentation("gens: a b c d\nrels: (a,b)^2 (c,d)^3"))  # -3/2 in column 0
+# a generator named as the key of render_json's differential splice marker
+@example(parse_presentation("gens: differential x y\nrels: (differential,x)"))
 def test_render_matches_dense_oracle(pres):
     doc = build_report(pres)
     expected = oracle_dict(doc)
