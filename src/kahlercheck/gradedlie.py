@@ -5,16 +5,16 @@ Pipeline, all over the rationals:
 1. Degree 1.  The exponent-sum vectors of the relators span a subspace
    of Q^n; the quotient is the rational abelianization, of dimension
    q = n - k where k is the rank of the relator span.  One elimination
-   of the exponent matrix's sparse integer rows gives both the quotient
-   basis and integer relator combinations whose exponent sums cancel.
+   of the exponent matrix's sparse integer rows gives the quotient basis.
 
 2. Degree 2.  Each rational combination of relators whose exponent sums
    cancel contributes a degree-2 relation: the antisymmetrized quadratic
    coefficients of its series expansion, pushed into the second exterior
    power of the abelianization.  The span W of these relations has
    codimension dim2 = C(q,2) - dim W, the dimension of the second graded
-   piece.  Each relation is one sparse row: this costs the relators, not
-   C(q,2).
+   piece.  No basis of those combinations is made: one elimination of
+   each relator's exponent sums beside its pushed image gives the RREF
+   of W.  Each row is sparse: this costs the relators, not C(q,2).
 
 3. The graded algebra is then the free two-step algebra on q generators
    modulo W; the bracket of two degree-1 classes is the class of their
@@ -38,7 +38,6 @@ from .linalg import (
     QuotientBasis,
     Rref,
     SparseRow,
-    _integer_row,
     alternating_rank,
     rref_rows,
 )
@@ -46,17 +45,13 @@ from .presentation import Presentation
 
 
 class AbelianizationData(NamedTuple):
-    """Degree-1 layer: relator expansions, the exponent matrix's rank and kernel.
+    """Degree-1 layer: relator expansions and the exponent matrix's RREF.
 
-    Row i of the s x n exponent matrix M is ``series[i].linear``.
-    ``kernel`` holds s - k independent integer combinations lambda with
-    lambda M = 0, a basis of M's left kernel, as {relator: lambda} nonzeros:
-    the quotient rows of the RREF of M's columns, scaled to integers.
+    Row i of the s x n exponent matrix M is ``series[i].linear``; the
+    quotient basis is read off the RREF of M's rows, whose rank is k.
     """
 
     series: tuple[magnus.Expansion, ...]   # expansion of relator i
-    rank: int                         # k
-    kernel: tuple[dict[int, int], ...]   # s - k combinations, nonzeros only
     quotient: QuotientBasis           # Q^n modulo the relator rows
 
     @property
@@ -68,6 +63,10 @@ class AbelianizationData(NamedTuple):
         return len(self.series)
 
     @property
+    def rank(self) -> int:
+        return self.quotient.reduced.rank
+
+    @property
     def q(self) -> int:
         return self.n - self.rank
 
@@ -77,32 +76,18 @@ class AbelianizationData(NamedTuple):
 
 
 def abelianization_data(pres: Presentation) -> AbelianizationData:
-    """Expand each relator and eliminate the exponent matrix M's rows and columns.
-
-    The RREF of M's rows gives the rank k and the quotient basis.  The
-    left kernel of M is the nullspace of its transpose: the quotient
-    rows of the RREF of M's columns, s - k of them, each scaled to
-    integers.  With k = s the kernel is empty and the columns are not
-    eliminated.
-    """
+    """Expand each relator and eliminate the rows of the exponent matrix M."""
     series = tuple(magnus.expand(rel, pres.n) for rel in pres.relators)
     reduced = rref_rows([x.linear for x in series], pres.n)
-    kernel: tuple[dict[int, int], ...] = ()
-    if reduced.rank < len(series):
-        columns: list[dict[int, int]] = [{} for _ in range(pres.n)]
-        for r, x in enumerate(series):
-            for j, e in x.linear.items():
-                columns[j][r] = e
-        transposed = QuotientBasis(rref_rows(columns, len(series)))
-        kernel = tuple(_integer_row(dict(row)) for row in transposed)
-    return AbelianizationData(series, reduced.rank, kernel, QuotientBasis(reduced))
+    return AbelianizationData(series, QuotientBasis(reduced))
 
 
 class CommutatorRelations(NamedTuple):
-    """Degree-2 layer: images of the kernel combinations in the wedge square."""
+    """Degree-2 layer: the span W of the exponent-cancelling combinations'
+    images in the wedge square."""
 
-    reduced: Rref        # RREF of the images; its rows span W in C(q,2) columns
-    combinations: int    # dim ker d0, one image each
+    reduced: Rref        # RREF of W in C(q,2) columns
+    combinations: int    # dim ker d0 = s - k
 
     @property
     def dim_relations(self) -> int:
@@ -119,38 +104,37 @@ class CommutatorRelations(NamedTuple):
 
 
 def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
-    """Wedge-square relation space spanned by the kernel combinations.
+    """Wedge-square relation space W, by one block elimination.
 
-    For a combination lambda, the relators' wedge images q_ij - q_ji are
-    combined and pushed forward along the abelianization coordinates C:
-    each nonzero c on (i, j) adds c * C[a][i] * C[b][j] to the pair (a, b)
-    of the quotient, with the sign flipped when a > b.  This is the dense
-    B = C (Q - Q^T) C^T read on the pairs a < b, made as one sparse row
-    per combination and eliminated as it is.
+    Relator r gives one sparse row: its exponent sums at the columns
+    g - n, left of every wedge column, then its wedge image q_ij - q_ji
+    pushed forward along the abelianization coordinates C: each nonzero
+    c on (i, j) adds c * C[a][i] * C[b][j] to the pair (a, b) of the
+    quotient, with the sign flipped when a > b.  This is the dense
+    B = C (Q - Q^T) C^T read on the pairs a < b.  The rows' span meets
+    the wedge columns alone in W, the images of the combinations whose
+    exponent sums cancel.  So of its RREF, k rows pivot in the exponent
+    block, and the rest, which pivot at wedge columns, are the RREF of W.
     """
     support: list[list[tuple[int, Fraction]]] = [[] for _ in range(ab.n)]
     for a, row in enumerate(ab.quotient):    # column i of the q x n coordinates
         for i, x in row:
             support[i].append((a, x))
-    first = _wedge_first(ab.q)
-    images = []
-    for combination in ab.kernel:
-        combined: dict[tuple[int, int], int] = {}
-        for r, lam in combination.items():
-            for pair, c in ab.series[r].wedge.items():
-                combined[pair] = combined.get(pair, 0) + lam * c
-        pushed: dict[int, Fraction] = {}
-        for (i, j), c in combined.items():
-            if not c:
-                continue
+    first, n = _wedge_first(ab.q), ab.n
+    rows = []
+    for series in ab.series:
+        block: dict[int, Fraction | int] = {g - n: e for g, e in series.linear.items()}
+        for (i, j), c in series.wedge.items():
             for a, x in support[i]:
                 for b, y in support[j]:
                     if a < b:
-                        pushed[first[a] + b] = pushed.get(first[a] + b, 0) + c * x * y
+                        block[first[a] + b] = block.get(first[a] + b, 0) + c * x * y
                     elif a > b:
-                        pushed[first[b] + a] = pushed.get(first[b] + a, 0) - c * x * y
-        images.append(pushed)
-    return CommutatorRelations(rref_rows(images, comb(ab.q, 2)), len(images))
+                        block[first[b] + a] = block.get(first[b] + a, 0) - c * x * y
+        rows.append(block)
+    reduced, k = rref_rows(rows, comb(ab.q, 2)), ab.rank
+    return CommutatorRelations(Rref(reduced.rows[k:], reduced.pivots[k:], reduced.cols),
+                               ab.s - k)
 
 
 def _wedge_first(q: int) -> list[int]:

@@ -2,17 +2,18 @@
 
 Every row reduction runs through ``_eliminate``, fraction-free over int
 on sparse rows: rows are scaled to integers, combined by integer row
-operations and divided by the gcd of their entries, and each pivot row
-is divided by its pivot only at the end.  A row costs its nonzeros,
-however wide the space.  The RREF of a row space is unique, so the
-result is the one Gauss-Jordan elimination over Fraction gives, in any
-row order, and reports are reproducible byte for byte.  A nullspace is
-read off an RREF as the rows of ``QuotientBasis``; degree 1 reads the
-exponent matrix's left kernel off the RREF of its columns that way.  The
-pipeline, exponent matrix included, and the ``--oracle`` route pass
-sparse rows only, so the dense ``RationalMatrix``, ``rref``, ``rank``,
-``nullspace``, ``quotient_basis`` and ``row_space_contains`` have no
-caller outside this module; tests and the benchmark's tracer use them.
+operations and divided by the gcd of their entries.  The elimination
+runs forward, to echelon rows; ``_normalized`` then reduces them in one
+Jordan pass from the last pivot back and divides each by its pivot.  A
+row costs its nonzeros, however wide the space.  The RREF of a row
+space is unique, so the result is the one Gauss-Jordan elimination over
+Fraction gives, in any row order, and reports are reproducible byte for
+byte.  A nullspace is read off an RREF as the rows of
+``QuotientBasis``.  The pipeline, exponent matrix included, and the
+``--oracle`` route pass sparse rows only, so the dense
+``RationalMatrix``, ``rref``, ``rank``, ``nullspace``,
+``quotient_basis`` and ``row_space_contains`` have no caller outside
+this module; tests and the benchmark's tracer use them.
 """
 
 from fractions import Fraction
@@ -114,24 +115,23 @@ def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
 
 
 def _eliminate(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Gauss-Jordan elimination of sparse integer rows; pivot column -> row.
+    """Forward elimination of sparse integer rows; pivot column -> row.
 
-    Each incoming row is cleared at the pivot columns found so far.  What
-    is left of it, if anything, becomes the pivot row of its leftmost
-    column, which is then cleared from the earlier pivot rows.  Every
-    pivot row keeps its leftmost nonzero at its pivot and is zero at the
-    other pivots.  Pivots are left unnormalized.
+    Each incoming row is cleared at the pivot columns it hits, leftmost
+    first; what is left of it, if anything, becomes the pivot row of its
+    leftmost column.  No earlier row is rewritten, so a row costs the
+    pivots it meets, not all of them.  Every pivot row has its leftmost
+    nonzero at its pivot; it is neither reduced at the later pivots nor
+    normalized.
     """
     reduced: dict[int, dict[int, int]] = {}
     for row in rows:
-        for c in [c for c in row if c in reduced]:
-            row = _cleared(row, c, reduced[c])
-        if row:
+        while row:
             p = min(row)
-            for c, other in reduced.items():
-                if p in other:
-                    reduced[c] = _cleared(other, p, row)
-            reduced[p] = row
+            if p not in reduced:
+                reduced[p] = row
+                break
+            row = _cleared(row, p, reduced[p])
     return reduced
 
 
@@ -154,13 +154,19 @@ def _cleared(row: dict[int, int], c: int, prow: dict[int, int]) -> dict[int, int
 
 
 def _normalized(reduced: dict[int, dict[int, int]], cols: int) -> Rref:
-    """Pivot rows in pivot order, each divided by its pivot entry."""
+    """The RREF of echelon pivot rows: one Jordan pass from the last pivot
+    back clears each row at the later pivots, then each row is divided by
+    its pivot entry.  The later rows are reduced by then, so clearing one
+    pivot column adds no other."""
     pivots = sorted(reduced)
     rows = []
-    for p in pivots:
+    for p in reversed(pivots):
         row = reduced[p]
+        for c in [c for c in row if c != p and c in reduced]:
+            row = _cleared(row, c, reduced[c])
+        reduced[p] = row
         rows.append(tuple((c, Fraction(row[c], row[p])) for c in sorted(row)))
-    return Rref(tuple(rows), tuple(pivots), cols)
+    return Rref(tuple(reversed(rows)), tuple(pivots), cols)
 
 
 def rank(matrix: RationalMatrix) -> int:

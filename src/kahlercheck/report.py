@@ -21,7 +21,6 @@ nonzeros and one copy.
 from __future__ import annotations
 
 import json
-from decimal import Decimal
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -29,7 +28,7 @@ from typing import Iterator
 from . import nilpotent, obstructions
 from .gradedlie import ModelStage
 from .obstructions import ObstructionReport
-from .presentation import Presentation
+from .presentation import Presentation, _digits
 
 
 class ReportInvariantError(RuntimeError):
@@ -131,8 +130,8 @@ def _exact(x: Fraction) -> str:
     try:
         return str(x)
     except ValueError:   # a numerator or denominator over 4300 digits
-        num = str(Decimal(x.numerator))
-        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+        num = _digits(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
 
 
 def render_json(doc: ObstructionReport) -> str:

@@ -100,6 +100,23 @@ def exponent_matrix(ab):
     return RationalMatrix.from_rows([dense_vector(x.linear, ab.n) for x in ab.series], ab.n)
 
 
+def left_kernel(ab):
+    """A basis of the exponent matrix M's left kernel, as dense length-s
+    tuples: the nullspace of M^T, one vector per free column of its
+    Fraction RREF, with a 1 there and -rref[i][f] at pivot i."""
+    reduced, pivots = gauss_jordan_rref(exponent_matrix(ab).transpose())
+    basis = []
+    for f in range(ab.s):
+        if f in pivots:
+            continue
+        lam = [Fraction(0)] * ab.s
+        lam[f] = Fraction(1)
+        for row, p in zip(reduced.entries, pivots):
+            lam[p] = -row[f]
+        basis.append(tuple(lam))
+    return basis
+
+
 def wedge_dict(coefficients, n):
     """The nonzero coefficients on wedge_pairs(n), keyed by pair."""
     return {pair: c for pair, c in zip(wedge_pairs(n), coefficients) if c}
@@ -200,8 +217,8 @@ def jointspan_dim2(pres):
 
     Spans the wedges of each relator's exponent vector with every
     coordinate vector together with the antisymmetrized quadratic parts
-    of the kernel combinations, then takes the codimension.  No quotient
-    pushforward is involved, and the expansions are the dense
+    of the ``left_kernel`` combinations, then takes the codimension.  No
+    quotient pushforward is involved, and the expansions are the dense
     ``truncated_mul`` folds, so this is a genuinely different route from
     the pipeline's.
     """
@@ -218,7 +235,7 @@ def jointspan_dim2(pres):
                 lin[a] * unit[b] - lin[b] * unit[a] for a, b in pairs
             ))
     ab = abelianization_data(pres)
-    for lam in (dense_vector(lam, ab.s) for lam in ab.kernel):
+    for lam in left_kernel(ab):
         combined = [
             [sum((lam[r] * expansions[r].quadratic[i][j]
                   for r in range(len(expansions))), Fraction(0))
@@ -233,7 +250,7 @@ def jointspan_dim2(pres):
 def dense_commutator_matrix(pres):
     """The degree-2 relation matrix by the dense formula B = C (Q - Q^T) C^T.
 
-    One column per kernel combination lambda of ``abelianization_data``:
+    One column per combination lambda of ``left_kernel``:
     the relators' dense quadratic coefficient matrices (the
     ``truncated_mul`` folds) are combined with lambda, antisymmetrized and
     pushed forward by two dense products with the quotient coordinates
@@ -244,7 +261,7 @@ def dense_commutator_matrix(pres):
     coords = ab.quotient.coords
     quadratic = [dense_expand(rel.letters, n).quadratic for rel in pres.relators]
     columns = []
-    for lam in (dense_vector(lam, ab.s) for lam in ab.kernel):
+    for lam in left_kernel(ab):
         combined = [
             [sum((lam[r] * quadratic[r][i][j] for r in range(ab.s)), Fraction(0))
              for j in range(n)]

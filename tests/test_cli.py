@@ -383,6 +383,17 @@ def test_analyze_wide_presentations(tmp_path):
     assert code == 0 and err == ""
     assert "  q (rational abelianization rank) = 1\n" in out
     assert "  dim Gamma2/Gamma3 = 0\n" in out
+    # 3000 generators, 2999 such relators and (x0,x1): rank below s, so the
+    # degree-2 block elimination eliminates the exponent chain again
+    gens = " ".join(f"x{i}" for i in range(3000))
+    rels = " | ".join(f"x{i} x{i + 1}^2" for i in range(2999))
+    squares = write(tmp_path, f"gens: {gens}\nrels: {rels} | (x0,x1)\n", "squares3000.pres")
+    start = time.perf_counter()
+    code, out, err = run(["analyze", str(squares)])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    assert "  dim ker d0 = 1\n" in out
+    assert "  dim Gamma2/Gamma3 = 0\n" in out
     # the oracle's joint span is sparse too: C(n,2) is 7140 and 12,497,500
     few = " ".join(f"x{i}" for i in range(120))
     narrow = write(tmp_path, f"gens: {few}\nrels: (x0,x1) x2\n", "narrow.pres")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from kahlercheck.linalg import (
     RationalMatrix,
+    _eliminate,
+    _integer_row,
     alternating_rank,
     nullspace,
     quotient_basis,
@@ -123,8 +125,18 @@ def assert_is_gauss_jordan(red, m):
 @example(mat([[0, 0, 0], [0, 2, 4], [0, 1, 2], [3, 0, 1]]))
 @example(mat([[Fraction(1, 3), Fraction(-2, 7), 5, 10 ** 50]]))
 @example(mat([[1], [2], [Fraction(-1, 2)], [0]]))
+@example(mat([[1, 2, 0, 0, 0], [0, 1, 2, 0, 0], [0, 0, 1, 2, 0], [0, 0, 0, 1, 2]]))
 def test_rref_matches_fraction_gauss_jordan(m):
     assert_is_gauss_jordan(rref(m), m)
+
+
+@given(elimination_matrices())
+def test_eliminate_keys_rows_by_their_leftmost_column(m):
+    # forward elimination leaves echelon rows, on the RREF's pivots
+    rows = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
+    reduced = _eliminate(_integer_row(row) for row in rows)
+    assert all(row and min(row) == p for p, row in reduced.items())
+    assert tuple(sorted(reduced)) == rref_rows(rows, m.cols).pivots
 
 
 @given(elimination_matrices(), st.randoms(use_true_random=False))
