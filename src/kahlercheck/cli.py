@@ -11,6 +11,10 @@ traceback), 3 oracle mismatch.
 
 ``main`` parses each command line with one parser kept for the process,
 so in-process callers build it once.
+
+``batch`` analyzes its files in interleaved shares, one per usable CPU:
+it forks a child for each share but the first, which it runs itself,
+and prints the rows in name order, the same bytes as one serial pass.
 """
 
 from __future__ import annotations
@@ -18,17 +22,22 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import marshal
+import os
 import sys
+import threading
 from pathlib import Path
 
 from . import fixtures, report
-from .obstructions import ObstructionReport
 from .presentation import ParseError, parse_presentation
 
 
 # Longest single write of an analyze document, in characters.  Text-mode
 # stdout encodes each write whole, so slicing bounds that copy.
 WRITE_SLICE = 1 << 20
+
+# The keys of a ``batch --json`` row, in the order of a summary row.
+SUMMARY_FIELDS = ("name", "n", "s", "q", "dim_gamma2_gamma3", "overall")
 
 
 class UnreadableInput(Exception):
@@ -83,16 +92,98 @@ def _failure(exc: Exception) -> str:
     return type(exc).__name__ + (": " + detail if detail else "")
 
 
-def _batch_rows(paths: list[Path]) -> tuple[list[tuple[str, ObstructionReport]],
-                                           list[tuple[str, str]]]:
-    rows: list[tuple[str, ObstructionReport]] = []
-    errors: list[tuple[str, str]] = []
+def _summaries(paths: list[Path]) -> list[tuple]:
+    """One row per file: ``(name, n, s, q, dim2, overall)``, or
+    ``(name, message)`` for a file that failed."""
+    rows: list[tuple] = []
     for path in paths:
         try:
-            rows.append((path.name, report.build_report(_load(path))))
+            doc = report.build_report(_load(path))
+            rows.append((path.name, doc.n, doc.s, doc.q, doc.dim2, doc.overall.value))
         except Exception as exc:   # e.g. MemoryError: one file never aborts the batch
-            errors.append((path.name, _failure(exc)))
-    return rows, errors
+            rows.append((path.name, _failure(exc)))
+    return rows
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or tell."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _batch_rows(paths: list[Path]) -> list[tuple]:
+    """``_summaries(paths)``, worked out in interleaved shares, one per
+    usable CPU.
+
+    Share w is ``paths[w::shares]``.  The parent forks a child for each
+    share but the first, which it runs itself; a child sends its rows
+    back through a pipe as ``marshal`` data.  A share whose child could
+    not be forked, failed or sent data that does not load is run again
+    by the parent, so the rows are those of one serial pass.  No child
+    is forked for one share, or while another thread runs: forking a
+    process with threads is unsafe.
+    """
+    shares = min(_cpus(), len(paths))
+    if shares < 2 or threading.active_count() > 1:
+        return _summaries(paths)
+    children: dict[int, tuple[int, int]] = {}   # share -> (pid, read end of its pipe)
+    try:
+        for w in range(1, shares):
+            try:
+                children[w] = _forked(paths[w::shares])
+            except OSError:   # no process to spare: the parent runs the rest
+                break
+        rows: list = [None] * len(paths)
+        for w in range(shares):
+            share = _received(*children.pop(w)) if w in children else None
+            rows[w::shares] = share if share is not None else _summaries(paths[w::shares])
+    finally:
+        for pid, fd in children.values():   # left only if the parent raised
+            os.close(fd)
+            os.kill(pid, 9)   # SIGKILL
+            os.waitpid(pid, 0)
+    return rows
+
+
+def _forked(paths: list[Path]) -> tuple[int, int]:
+    """Fork a child that writes ``marshal.dumps(_summaries(paths))`` to a
+    pipe; its pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(_summaries(paths)))
+            code = 0
+        finally:
+            # never flush the stdio buffers copied from the parent, never
+            # return into the caller
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _received(pid: int, fd: int) -> list | None:
+    """The rows a child sent, or None if it failed; the child is reaped."""
+    try:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()   # to EOF first: a share can outgrow the pipe buffer
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        return None
+    try:
+        return marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        return None
 
 
 def cmd_batch(directory: Path, as_json: bool, out=None, err=None) -> int:
@@ -106,25 +197,22 @@ def cmd_batch(directory: Path, as_json: bool, out=None, err=None) -> int:
     except OSError as exc:
         print(f"{directory}: cannot read {directory}: {exc.strerror or exc}", file=err)
         return 2
-    rows, errors = _batch_rows(paths)
+    rows = _batch_rows(paths)
+    good = [row for row in rows if len(row) == 6]
+    errors = [row for row in rows if len(row) == 2]
     if as_json:
         payload = {
             "schema": 1,
-            "rows": [
-                {"name": name, "n": doc.n, "s": doc.s, "q": doc.q,
-                 "dim_gamma2_gamma3": doc.dim2, "overall": doc.overall.value}
-                for name, doc in rows
-            ],
+            "rows": [dict(zip(SUMMARY_FIELDS, row)) for row in good],
             "errors": [{"name": name, "error": msg} for name, msg in errors],
         }
         out.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
     else:
-        width = max([len("name")] + [len(name) for name, _ in rows])
+        width = max([len("name")] + [len(row[0]) for row in good])
         out.write(f"{'name'.ljust(width)}  {'n':>3} {'s':>3} {'q':>3} "
                   f"{'dim2':>5}  overall\n")
-        for name, doc in rows:
-            out.write(f"{name.ljust(width)}  {doc.n:>3} {doc.s:>3} {doc.q:>3} "
-                      f"{doc.dim2:>5}  {doc.overall.value}\n")
+        for name, n, s, q, dim2, overall in good:
+            out.write(f"{name.ljust(width)}  {n:>3} {s:>3} {q:>3} {dim2:>5}  {overall}\n")
         for name, msg in errors:
             out.write(f"error: {name}: {msg}\n")
     return 2 if errors else 0

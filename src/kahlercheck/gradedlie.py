@@ -29,8 +29,7 @@ normalized commutator coordinates, which does not change any span).
 """
 
 from enum import Enum
-from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple
 
 from . import magnus
@@ -40,6 +39,7 @@ from .linalg import (
     SparseRow,
     alternating_rank,
     rref_rows,
+    rref_tail,
 )
 from .presentation import Presentation
 
@@ -115,26 +115,38 @@ def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
     the wedge columns alone in W, the images of the combinations whose
     exponent sums cancel.  So of its RREF, k rows pivot in the exponent
     block, and the rest, which pivot at wedge columns, are the RREF of W.
+
+    All of it is integer.  Column i of C is held times d_i, the lcm of
+    the denominators of the degree-1 RREF row that pivots at i (1 for a
+    free column, whose column of C is a unit).  Each row is scaled by L,
+    the lcm of d_i d_j over its wedge pairs, so the entry c on (i, j)
+    adds c * L / (d_i d_j) times the held integers.
     """
-    support: list[list[tuple[int, Fraction]]] = [[] for _ in range(ab.n)]
-    for a, row in enumerate(ab.quotient):    # column i of the q x n coordinates
-        for i, x in row:
-            support[i].append((a, x))
+    red = ab.quotient.reduced
+    pivots = set(red.pivots)
+    free = {f: a for a, f in enumerate(f for f in range(ab.n) if f not in pivots)}
+    support = [[(free[f], 1)] if f in free else [] for f in range(ab.n)]
+    scale = [1] * ab.n
+    for p, row in zip(red.pivots, red.rows):
+        d = scale[p] = lcm(*[x.denominator for _, x in row])
+        support[p] = [(free[f], -x.numerator * (d // x.denominator))
+                      for f, x in row if f != p]
     first, n = _wedge_first(ab.q), ab.n
     rows = []
     for series in ab.series:
-        block: dict[int, Fraction | int] = {g - n: e for g, e in series.linear.items()}
-        for (i, j), c in series.wedge.items():
+        wedge = series.wedge
+        scaled = lcm(*[scale[i] * scale[j] for i, j in wedge])
+        block = {g - n: e * scaled for g, e in series.linear.items()}
+        for (i, j), c in wedge.items():
+            c *= scaled // (scale[i] * scale[j])
             for a, x in support[i]:
                 for b, y in support[j]:
                     if a < b:
                         block[first[a] + b] = block.get(first[a] + b, 0) + c * x * y
                     elif a > b:
                         block[first[b] + a] = block.get(first[b] + a, 0) - c * x * y
-        rows.append(block)
-    reduced, k = rref_rows(rows, comb(ab.q, 2)), ab.rank
-    return CommutatorRelations(Rref(reduced.rows[k:], reduced.pivots[k:], reduced.cols),
-                               ab.s - k)
+        rows.append({col: x for col, x in block.items() if x})
+    return CommutatorRelations(rref_tail(rows, 0, comb(ab.q, 2)), ab.s - ab.rank)
 
 
 def _wedge_first(q: int) -> list[int]:

@@ -8,9 +8,11 @@ Jordan pass from the last pivot back and divides each by its pivot.  A
 row costs its nonzeros, however wide the space.  The RREF of a row
 space is unique, so the result is the one Gauss-Jordan elimination over
 Fraction gives, in any row order, and reports are reproducible byte for
-byte.  A nullspace is read off an RREF as the rows of
-``QuotientBasis``.  The pipeline, exponent matrix included, and the
-``--oracle`` route pass sparse rows only, so the dense
+byte.  ``rref_tail`` takes rows that are integer already and reduces
+only those that pivot at or right of a given column.  A nullspace is
+read off an RREF as the rows of ``QuotientBasis``.  The pipeline,
+exponent matrix included, and the ``--oracle`` route pass sparse rows
+only, so the dense
 ``RationalMatrix``, ``rref``, ``rank``, ``nullspace``,
 ``quotient_basis`` and ``row_space_contains`` have no caller outside
 this module; tests and the benchmark's tracer use them.
@@ -105,6 +107,18 @@ def rref(matrix: RationalMatrix) -> Rref:
 def rref_rows(rows: Iterable[Mapping[int, Fraction | int]], cols: int) -> Rref:
     """Reduced row-echelon form of sparse rows, given as column -> value maps."""
     return _normalized(_eliminate(_integer_row(row) for row in rows), cols)
+
+
+def rref_tail(rows: Iterable[dict[int, int]], first: int, cols: int) -> Rref:
+    """RREF of the rows of a span that pivot at column ``first`` or right of it.
+
+    The rows are sparse integer rows, column -> nonzero int; columns may
+    be negative.  The echelon rows whose pivot is at or right of
+    ``first`` hold no column left of it, so they are the echelon rows of
+    the span's part that vanishes there, and only they are reduced.
+    """
+    reduced = _eliminate(rows)
+    return _normalized({p: row for p, row in reduced.items() if p >= first}, cols)
 
 
 def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:

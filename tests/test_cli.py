@@ -2,10 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import marshal
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -394,6 +398,15 @@ def test_analyze_wide_presentations(tmp_path):
     assert code == 0 and err == ""
     assert "  dim ker d0 = 1\n" in out
     assert "  dim Gamma2/Gamma3 = 0\n" in out
+    # one relator x0 x1 ... x799 and (x0,x1): every pair of generators
+    # meets in the pushforward, whose coordinates stay integers
+    gens = " ".join(f"x{i}" for i in range(800))
+    long = write(tmp_path, f"gens: {gens}\nrels: {gens} | (x0,x1)\n", "long.pres")
+    start = time.perf_counter()
+    code, out, err = run(["analyze", str(long)])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    assert "  dim Gamma2/Gamma3 = 318800\n" in out
     # the oracle's joint span is sparse too: C(n,2) is 7140 and 12,497,500
     few = " ".join(f"x{i}" for i in range(120))
     narrow = write(tmp_path, f"gens: {few}\nrels: (x0,x1) x2\n", "narrow.pres")
@@ -581,6 +594,104 @@ def test_batch_json(corpus_dir):
 def test_batch_on_missing_directory(tmp_path):
     code, _, err = run(["batch", str(tmp_path / "nowhere")])
     assert code == 2 and "not a directory" in err
+
+
+def mixed_batch(tmp_path, monkeypatch):
+    """The corpus beside a malformed, an unreadable and a failing file."""
+    directory = tmp_path / "corpus"
+    assert run(["fixtures", str(directory)])[0] == 0
+    write(directory, "gens: x\nrels: (x\n", "broken.pres")
+    write(directory, "gens: boom\nrels: boom^2\n", "fails.pres")
+    unreadable(write(directory, "gens: x\nrels: x\n", "locked.pres"), monkeypatch)
+    build_report = report.build_report
+
+    def failing(pres):
+        if pres.generators == ("boom",):
+            raise MemoryError
+        return build_report(pres)
+    monkeypatch.setattr(report, "build_report", failing)
+    return directory
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_batch_is_the_same_on_any_number_of_cpus(tmp_path, monkeypatch):
+    directory = mixed_batch(tmp_path, monkeypatch)
+    results = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        results[cpus] = (run(["batch", str(directory)]),
+                         run(["batch", str(directory), "--json"]))
+        assert_no_child_left()
+    assert results[1] == results[2] == results[3]
+    text, doc = results[1]
+    assert text[0] == doc[0] == 2 and text[2] == doc[2] == ""
+    assert text[1].splitlines()[-3:] == [
+        "error: broken.pres: line 2, column 9: "
+        "unexpected end of relator (expected ',' or ')')",
+        "error: fails.pres: MemoryError",
+        f"error: locked.pres: cannot read {directory / 'locked.pres'}: Permission denied",
+    ]
+    assert len(json.loads(doc[1])["rows"]) == len(CORPUS)
+
+
+def killed(monkeypatch):
+    # only in a child: the parent runs the share again unpatched
+    parent, build_report = os.getpid(), report.build_report
+
+    def dying(pres):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return build_report(pres)
+    monkeypatch.setattr(report, "build_report", dying)
+
+
+def garbled(monkeypatch):
+    monkeypatch.setattr(cli, "marshal", types.SimpleNamespace(
+        dumps=lambda rows: b"\xff garbled", loads=marshal.loads))
+
+
+def truncated(monkeypatch):
+    monkeypatch.setattr(cli, "marshal", types.SimpleNamespace(
+        dumps=lambda rows: marshal.dumps(rows)[:-1], loads=marshal.loads))
+
+
+def no_fork(monkeypatch):
+    def failing():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", failing)
+
+
+@pytest.mark.parametrize("fault", [killed, garbled, truncated, no_fork])
+def test_batch_runs_a_failed_share_itself(tmp_path, monkeypatch, fault):
+    directory = mixed_batch(tmp_path, monkeypatch)
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    serial = run(["batch", str(directory)]), run(["batch", str(directory), "--json"])
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    fault(monkeypatch)
+    forked = run(["batch", str(directory)]), run(["batch", str(directory), "--json"])
+    assert forked == serial
+    assert_no_child_left()
+
+
+def test_batch_does_not_fork_beside_another_thread(corpus_dir, monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    expected = run(["batch", str(corpus_dir)])
+
+    def forbidden():
+        raise AssertionError("forked beside another thread")
+    monkeypatch.setattr(os, "fork", forbidden)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert run(["batch", str(corpus_dir)]) == expected
+    finally:
+        release.set()
+        other.join()
 
 
 # --- fixtures ----------------------------------------------------------------------

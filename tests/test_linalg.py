@@ -17,6 +17,7 @@ from kahlercheck.linalg import (
     row_space_contains,
     rref,
     rref_rows,
+    rref_tail,
     wedge_pairs,
 )
 
@@ -145,6 +146,19 @@ def test_rref_rows_ignores_row_order(m, rnd):
     rows = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
     rnd.shuffle(rows)
     assert rref_rows(rows, m.cols) == rref(m)
+
+
+@given(elimination_matrices(), st.data())
+def test_rref_tail_is_the_rref_right_of_a_column(m, data):
+    # the columns shifted left by `shift`, so the first ones are negative
+    shift = data.draw(st.integers(0, m.cols))
+    rows = [_integer_row({c - shift: x for c, x in enumerate(row)}) for row in m.entries]
+    full = rref(m)
+    kept = [i for i, p in enumerate(full.pivots) if p >= shift]
+    tail = rref_tail(rows, 0, m.cols - shift)
+    assert tail.pivots == tuple(full.pivots[i] - shift for i in kept)
+    assert tail.rows == tuple(tuple((c - shift, x) for c, x in full.rows[i]) for i in kept)
+    assert tail.cols == m.cols - shift
 
 
 # --- nullspace -------------------------------------------------------------------
