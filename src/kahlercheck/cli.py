@@ -4,7 +4,8 @@
     kahlercheck batch <dir> [--json]
     kahlercheck fixtures <dir>
 
-Exit codes: 0 success, 1 I/O failure while writing fixtures, 2 usage
+Exit codes: 0 success, 1 I/O failure while writing fixtures, or stdout
+from the console script (one line, none for a closed pipe), 2 usage
 error, unreadable or unparseable input, or a parse or analysis that
 failed (for example with a MemoryError; reported as one line, never a
 traceback), 3 oracle mismatch.
@@ -97,12 +98,18 @@ def _summaries(paths: list[Path]) -> list[tuple]:
     ``(name, message)`` for a file that failed."""
     rows: list[tuple] = []
     for path in paths:
+        name = _shown(path.name)
         try:
             doc = report.build_report(_load(path))
-            rows.append((path.name, doc.n, doc.s, doc.q, doc.dim2, doc.overall.value))
+            rows.append((name, doc.n, doc.s, doc.q, doc.dim2, doc.overall.value))
         except Exception as exc:   # e.g. MemoryError: one file never aborts the batch
-            rows.append((path.name, _failure(exc)))
+            rows.append((name, _shown(_failure(exc))))
     return rows
+
+
+def _shown(text: str) -> str:
+    """text with each undecodable path byte escaped as stderr shows it."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def _cpus() -> int:
@@ -274,4 +281,13 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """``main`` as a script: a failed write to stdout exits 1, untraced."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:   # what stdout still buffers goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+        if not isinstance(exc, BrokenPipeError):
+            print(f"kahlercheck: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+    sys.exit(code)

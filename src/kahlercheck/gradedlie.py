@@ -116,21 +116,19 @@ def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
     exponent sums cancel.  So of its RREF, k rows pivot in the exponent
     block, and the rest, which pivot at wedge columns, are the RREF of W.
 
-    All of it is integer.  Column i of C is held times d_i, the lcm of
-    the denominators of the degree-1 RREF row that pivots at i (1 for a
-    free column, whose column of C is a unit).  Each row is scaled by L,
-    the lcm of d_i d_j over its wedge pairs, so the entry c on (i, j)
-    adds c * L / (d_i d_j) times the held integers.
+    All of it is integer.  Column i of C is held times d_i, the pivot
+    entry of the integer degree-1 RREF row at i, which holds -d_i C[a][i]
+    at the free column of class a (d_i = 1 for a free column, a unit).
+    Each row is scaled by L, the lcm of d_i d_j over its wedge pairs, so
+    the entry c on (i, j) adds c * L / (d_i d_j) times the held integers.
     """
     red = ab.quotient.reduced
     pivots = set(red.pivots)
     free = {f: a for a, f in enumerate(f for f in range(ab.n) if f not in pivots)}
     support = [[(free[f], 1)] if f in free else [] for f in range(ab.n)]
     scale = [1] * ab.n
-    for p, row in zip(red.pivots, red.rows):
-        d = scale[p] = lcm(*[x.denominator for _, x in row])
-        support[p] = [(free[f], -x.numerator * (d // x.denominator))
-                      for f, x in row if f != p]
+    for (p, d), *rest in red.rows:   # the pivot entry leads each row
+        scale[p], support[p] = d, [(free[f], -x) for f, x in rest]
     first, n = _wedge_first(ab.q), ab.n
     rows = []
     for series in ab.series:
@@ -173,7 +171,7 @@ class GradedLie2(NamedTuple):
 
     @property
     def relations(self) -> tuple[SparseRow, ...]:
-        """The RREF rows of W, dim_W of them, in C(dim1,2) columns."""
+        """W's integer RREF rows (see ``Rref``), dim_W of them, in C(dim1,2) columns."""
         return self.quotient.reduced.rows
 
 

@@ -4,16 +4,15 @@ Every row reduction runs through ``_eliminate``, fraction-free over int
 on sparse rows: rows are scaled to integers, combined by integer row
 operations and divided by the gcd of their entries.  The elimination
 runs forward, to echelon rows; ``_normalized`` then reduces them in one
-Jordan pass from the last pivot back and divides each by its pivot.  A
-row costs its nonzeros, however wide the space.  The RREF of a row
-space is unique, so the result is the one Gauss-Jordan elimination over
-Fraction gives, in any row order, and reports are reproducible byte for
-byte.  ``rref_tail`` takes rows that are integer already and reduces
-only those that pivot at or right of a given column.  A nullspace is
-read off an RREF as the rows of ``QuotientBasis``.  The pipeline,
-exponent matrix included, and the ``--oracle`` route pass sparse rows
-only, so the dense
-``RationalMatrix``, ``rref``, ``rank``, ``nullspace``,
+Jordan pass from the last pivot back, to primitive integer rows with
+positive pivot entries.  A row costs its nonzeros, however wide the
+space.  This form of the RREF of a row space is unique: in any row
+order, the rows of Gauss-Jordan elimination over Fraction, each times
+its pivot entry, so reports are reproducible byte for byte.  Only the
+coordinates ``QuotientBasis`` yields are Fractions.  ``rref_tail`` takes
+integer rows and reduces only those that pivot at or right of a given
+column.  The pipeline and the ``--oracle`` route pass sparse rows only,
+so the dense ``RationalMatrix``, ``rref``, ``rank``, ``nullspace``,
 ``quotient_basis`` and ``row_space_contains`` have no caller outside
 this module; tests and the benchmark's tracer use them.
 """
@@ -54,24 +53,17 @@ class RationalMatrix(NamedTuple):
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(tuple(row[j] for row in self.entries) for j in range(self.cols)),
-            self.rows,
-        )
+        columns = tuple(tuple(row[j] for row in self.entries) for j in range(self.cols))
+        return RationalMatrix(columns, self.rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for row in self.entries:
-            out.append(
-                tuple(
-                    sum((row[k] * other.entries[k][j] for k in range(self.cols)),
-                        Fraction(0))
-                    for j in range(other.cols)
-                )
-            )
-        return RationalMatrix(tuple(out), other.cols)
+        out = tuple(
+            tuple(sum((row[k] * other.entries[k][j] for k in range(self.cols)), Fraction(0))
+                  for j in range(other.cols))
+            for row in self.entries)
+        return RationalMatrix(out, other.cols)
 
     def stacked(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
@@ -79,15 +71,16 @@ class RationalMatrix(NamedTuple):
         return RationalMatrix(self.entries + other.entries, self.cols)
 
 
-# A sparse row: its nonzero entries as (column, value), in column order.
-SparseRow = tuple[tuple[int, Fraction], ...]
+# A sparse integer row: its nonzero entries as (column, value), in column order.
+SparseRow = tuple[tuple[int, int], ...]
 
 
 class Rref(NamedTuple):
     """Reduced row-echelon form of a row space, as its nonzero rows.
 
-    Row i has a 1 at column pivots[i], the leftmost of its nonzeros, and
-    a zero at every other pivot column.
+    Row i is the RREF row times d_i > 0, its leftmost entry, at pivots[i]:
+    a primitive integer row, zero at every other pivot column.  This form
+    is canonical, so equal Rrefs are equal row spaces.
     """
 
     rows: tuple[SparseRow, ...]
@@ -122,8 +115,7 @@ def rref_tail(rows: Iterable[dict[int, int]], first: int, cols: int) -> Rref:
 
 
 def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """The nonzero entries times the lcm of their denominators: integers,
-    same direction."""
+    """The nonzero entries times the lcm of their denominators, as ints."""
     den = lcm(*[x.denominator for x in row.values()])
     return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
 
@@ -169,17 +161,18 @@ def _cleared(row: dict[int, int], c: int, prow: dict[int, int]) -> dict[int, int
 
 def _normalized(reduced: dict[int, dict[int, int]], cols: int) -> Rref:
     """The RREF of echelon pivot rows: one Jordan pass from the last pivot
-    back clears each row at the later pivots, then each row is divided by
-    its pivot entry.  The later rows are reduced by then, so clearing one
-    pivot column adds no other."""
+    back clears each row at the later pivots, then divides it by the gcd
+    of its entries, signed as its pivot entry.  The later rows are reduced
+    by then, so clearing one pivot column adds no other."""
     pivots = sorted(reduced)
     rows = []
     for p in reversed(pivots):
         row = reduced[p]
         for c in [c for c in row if c != p and c in reduced]:
             row = _cleared(row, c, reduced[c])
-        reduced[p] = row
-        rows.append(tuple((c, Fraction(row[c], row[p])) for c in sorted(row)))
+        content = gcd(*row.values()) if row[p] > 0 else -gcd(*row.values())
+        reduced[p] = row = {c: x // content for c, x in row.items()}
+        rows.append(tuple(sorted(row.items())))
     return Rref(tuple(reversed(rows)), tuple(pivots), cols)
 
 
@@ -205,9 +198,10 @@ class QuotientBasis(Record):
     class, the sparse row of the (dim x ambient) coordinate matrix that
     sends an ambient vector to its coordinates in that basis; the
     coordinates kill the relation rows exactly.  The row of free column
-    f is 1 at f and -rref[i][f] at each pivot P[i]; a free column that
-    no RREF row touches is a unit row.  The rows are made only when
-    iterated, so the basis itself costs the RREF alone.
+    f is 1 at f and -x / d_i at each pivot P[i], where the integer RREF
+    row i holds x at f and d_i at P[i]; a free column that no RREF row
+    touches is a unit row.  The rows, the pipeline's only Fractions, are
+    made only when iterated, so the basis itself costs the RREF alone.
     """
 
     __slots__ = ("reduced",)
@@ -219,13 +213,12 @@ class QuotientBasis(Record):
     def dim(self) -> int:
         return self.reduced.cols - self.reduced.rank
 
-    def __iter__(self) -> Iterator[SparseRow]:
+    def __iter__(self) -> Iterator[tuple[tuple[int, Fraction], ...]]:
         red = self.reduced
         touched: dict[int, list[tuple[int, Fraction]]] = {}
-        for p, row in zip(red.pivots, red.rows):
-            for f, x in row:
-                if f != p:
-                    touched.setdefault(f, []).append((p, -x))
+        for (p, d), *rest in red.rows:   # the pivot entry leads each row
+            for f, x in rest:
+                touched.setdefault(f, []).append((p, Fraction(-x, d)))
         pivots, one = set(red.pivots), Fraction(1)
         for f in range(red.cols):
             if f not in pivots:
@@ -234,13 +227,9 @@ class QuotientBasis(Record):
     @property
     def coords(self) -> RationalMatrix:
         """The coordinate matrix, dense."""
-        dense = []
-        for row in self:
-            entries = [Fraction(0)] * self.reduced.cols
-            for c, x in row:
-                entries[c] = x
-            dense.append(tuple(entries))
-        return RationalMatrix(tuple(dense), self.reduced.cols)
+        cols = self.reduced.cols
+        return RationalMatrix.from_rows(
+            [[dict(row).get(c, 0) for c in range(cols)] for row in self], cols)
 
 
 def quotient_basis(relations: RationalMatrix, ambient_dim: int) -> QuotientBasis:

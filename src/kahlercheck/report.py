@@ -127,11 +127,8 @@ def _differential_rows(model: ModelStage, sep: str) -> Iterator[list[str]]:
 
 def _exact(x: Fraction) -> str:
     """str(x), in full even past the interpreter's int-to-str digit limit."""
-    try:
-        return str(x)
-    except ValueError:   # a numerator or denominator over 4300 digits
-        num = _digits(x.numerator)
-        return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
+    num = _digits(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
 
 
 def render_json(doc: ObstructionReport) -> str:

@@ -289,6 +289,12 @@ def densify(rows, cols):
     return RationalMatrix.from_rows(dense, cols)
 
 
+def fraction_rows(red):
+    """An ``Rref``'s integer rows, each divided by its pivot entry: the
+    sparse rows of the Fraction RREF."""
+    return tuple(tuple((c, Fraction(x, row[0][1])) for c, x in row) for row in red.rows)
+
+
 def oracle_dict(doc):
     """The schema-1 report document, with the differential written out dense.
 

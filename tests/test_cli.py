@@ -694,6 +694,68 @@ def test_batch_does_not_fork_beside_another_thread(corpus_dir, monkeypatch):
         other.join()
 
 
+def strict_run(argv):
+    """``run`` with stdout a strict UTF-8 stream, as in any UTF-8 locale."""
+    buffer, err = io.BytesIO(), io.StringIO()
+    out = io.TextIOWrapper(buffer, encoding="utf-8", errors="strict")
+    code = main(argv, out=out, err=err)
+    out.flush()
+    return code, buffer.getvalue().decode("utf-8"), err.getvalue()
+
+
+def test_batch_shows_a_name_that_is_not_utf8(tmp_path, monkeypatch):
+    # an undecodable byte is escaped as stderr escapes it; a valid name,
+    # non-ASCII or not, is written as it is
+    for name, text in [(b"a\xff.pres", "gens: x y\nrels: (x,y)\n"),
+                       ("é.pres".encode(), "gens: x\nrels: x^2\n"),
+                       (b"b\xfe.pres", "gens: x\nrels: (x\n"),
+                       (b"c\xfd.pres", "gens: x\nrels: x\n")]:
+        (tmp_path / os.fsdecode(name)).write_text(text, encoding="utf-8")
+    unreadable(tmp_path / os.fsdecode(b"c\xfd.pres"), monkeypatch)
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        results[cpus] = (strict_run(["batch", str(tmp_path)]),
+                         strict_run(["batch", str(tmp_path), "--json"]))
+        assert_no_child_left()
+    assert results[1] == results[2]
+    (code, out, err), (json_code, doc, json_err) = results[1]
+    locked = f"{os.fsencode(tmp_path).decode('utf-8', 'backslashreplace')}/c\\udcfd.pres"
+    assert (code, err, json_code, json_err) == (2, "", 2, "")
+    assert out.splitlines() == [
+        "name            n   s   q  dim2  overall",
+        "a\\udcff.pres    2   1   2     0  INCONCLUSIVE",
+        "é.pres          1   1   0     0  INCONCLUSIVE",
+        "error: b\\udcfe.pres: line 2, column 9: "
+        "unexpected end of relator (expected ',' or ')')",
+        f"error: c\\udcfd.pres: cannot read {locked}: Permission denied",
+    ]
+    doc = json.loads(doc)
+    assert [row["name"] for row in doc["rows"]] == ["a\\udcff.pres", "é.pres"]
+    assert [e["name"] for e in doc["errors"]] == ["b\\udcfe.pres", "c\\udcfd.pres"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_console_script_reports_a_failed_write(corpus_dir):
+    # a full device is one line on stderr, a closed pipe none; both exit 1
+    argv = [sys.executable, "-m", "kahlercheck", "analyze",
+            str(corpus_dir / "surface_g2.pres"), "--json"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        1, "kahlercheck: cannot write output: No space left on device\n")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 # --- fixtures ----------------------------------------------------------------------
 
 def test_fixtures_writes_corpus(tmp_path):

@@ -23,6 +23,7 @@ from oracles import (
     dense_commutator_matrix,
     densify,
     exponent_matrix,
+    fraction_rows,
     gauss_jordan_rref,
     jointspan_dim2,
     left_kernel,
@@ -267,7 +268,8 @@ def test_commutator_matrix_matches_dense_reference(pres):
     expected, pivots = gauss_jordan_rref(dense.transpose())
     assert rel.combinations == dense.cols and rel.reduced.cols == dense.rows
     assert rel.reduced.pivots == pivots
-    assert densify(rel.reduced.rows, dense.rows).entries == expected.entries[:len(pivots)]
+    assert (densify(fraction_rows(rel.reduced), dense.rows).entries
+            == expected.entries[:len(pivots)])
 
 
 @given(presentations())

@@ -1,6 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -21,7 +22,7 @@ from kahlercheck.linalg import (
     wedge_pairs,
 )
 
-from oracles import coordinates, densify, gauss_jordan_rref, wedge_dict
+from oracles import coordinates, densify, fraction_rows, gauss_jordan_rref, wedge_dict
 from strategies import identity_matrix, rational_matrices, zero_matrix
 
 
@@ -110,14 +111,18 @@ def elimination_matrices(draw):
 
 
 def assert_is_gauss_jordan(red, m):
-    """The sparse rows are the nonzero rows of the Fraction elimination."""
+    """The sparse rows, divided by their pivot entries, are the nonzero
+    rows of the Fraction elimination; each is a primitive integer row
+    led by its positive pivot entry."""
     expected, pivots = gauss_jordan_rref(m)
     assert red.pivots == pivots and red.rank == len(pivots) and red.cols == m.cols
-    assert densify(red.rows, m.cols).entries == expected.entries[:red.rank]
+    assert densify(fraction_rows(red), m.cols).entries == expected.entries[:red.rank]
     assert not any(any(row) for row in expected.entries[red.rank:])
-    for row in red.rows:
+    for p, row in zip(red.pivots, red.rows):
         assert [c for c, _ in row] == sorted({c for c, _ in row})
-        assert all(type(x) is Fraction and x != 0 for _, x in row)
+        assert all(type(x) is int and x != 0 for _, x in row)
+        assert row[0][0] == p and row[0][1] > 0
+        assert gcd(*[x for _, x in row]) == 1
 
 
 @given(elimination_matrices())
@@ -261,7 +266,7 @@ def test_quotient_rows_are_read_off_the_rref(m):
         dense = [Fraction(0)] * m.cols
         dense[f] = Fraction(1)
         for i, p in enumerate(red.pivots):
-            dense[p] = -dict(red.rows[i]).get(f, 0)
+            dense[p] = -dict(fraction_rows(red)[i]).get(f, 0)
         assert dict(row) == {c: x for c, x in enumerate(dense) if x}
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -31,10 +32,12 @@ from kahlercheck.obstructions import (
     fibered_genus_exclusion,
     overall_code,
 )
+from kahlercheck.fixtures import CORPUS
 from kahlercheck.presentation import parse_presentation
 from kahlercheck.report import build_report, render_json, render_text
 
 import cases
+import randgen
 from oracles import oracle_dict
 from strategies import presentations
 
@@ -294,3 +297,26 @@ def test_render_matches_dense_oracle(pres):
     rest = lines[:start] + lines[end:]
     assert [line for line in rest if not line.startswith("    ")] == \
         render_text(doc).split("\n")
+
+
+def test_build_report_makes_no_fraction():
+    # every step is integer: only a printed coordinate is a Fraction
+    makers = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):   # Python 3.12 arithmetic
+        makers.add(Fraction._from_coprime_ints.__func__.__code__)
+    rng = random.Random(7)
+    inputs = ([parse_presentation(text) for _, text in CORPUS]
+              + [randgen.random_presentation(rng) for _ in range(300)])
+    made = 0
+
+    def count(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code in makers:
+            made += 1
+    sys.setprofile(count)
+    try:
+        for pres in inputs:
+            build_report(pres)
+    finally:
+        sys.setprofile(None)
+    assert made == 0
