@@ -5,10 +5,11 @@
     kahlercheck fixtures <dir>
 
 Exit codes: 0 success, 1 I/O failure while writing fixtures, or stdout
-from the console script (one line, none for a closed pipe), 2 usage
-error, unreadable or unparseable input, or a parse or analysis that
-failed (for example with a MemoryError; reported as one line, never a
-traceback), 3 oracle mismatch.
+from the console script (one line, none for a closed pipe; a process
+started with stdout closed prints the line and runs no command), 2
+usage error, unreadable or unparseable input, or a parse or analysis
+that failed (for example with a MemoryError; reported as one line, never
+a traceback), 3 oracle mismatch.
 
 ``main`` parses each command line with one parser kept for the process,
 so in-process callers build it once.
@@ -21,6 +22,7 @@ and prints the rows in name order, the same bytes as one serial pass.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import marshal
@@ -193,14 +195,40 @@ def _received(pid: int, fd: int) -> list | None:
         return None
 
 
+def _listed(directory: Path) -> list[Path]:
+    """The files of directory that ``batch`` reads, in name order: each
+    entry whose name does not start with a dot and that is a file, or a
+    link to one.
+
+    The types come from ``os.scandir``, so a file costs no ``stat``.  The
+    paths are the children ``iterdir`` makes: ``directory / name`` would
+    parse each name and intern it, and a process that runs ``batch`` again
+    and again would churn the interpreter's table of interned strings.
+    """
+    with os.scandir(directory) as entries:
+        files = {e.name for e in entries if not e.name.startswith(".") and _is_file(e)}
+    return sorted((p for p in directory.iterdir() if p.name in files),
+                  key=lambda p: p.name)
+
+
+def _is_file(entry: os.DirEntry) -> bool:
+    """``Path.is_file`` of the entry: a link that leads nowhere (missing,
+    through a file, or in a loop) is not a file; other errors raise."""
+    try:
+        return entry.is_file()
+    except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+            return False
+        raise
+
+
 def cmd_batch(directory: Path, as_json: bool, out=None, err=None) -> int:
     out, err = out or sys.stdout, err or sys.stderr
     if not directory.is_dir():
         print(f"{directory}: not a directory", file=err)
         return 2
     try:
-        paths = sorted(p for p in directory.iterdir()
-                       if p.is_file() and not p.name.startswith("."))
+        paths = _listed(directory)
     except OSError as exc:
         print(f"{directory}: cannot read {directory}: {exc.strerror or exc}", file=err)
         return 2
@@ -281,7 +309,15 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main_entry() -> None:
-    """``main`` as a script: a failed write to stdout exits 1, untraced."""
+    """``main`` as a script: a failed write to stdout exits 1, untraced.
+
+    A process started with stdout closed has no ``sys.stdout``; every
+    write would fail, so no command runs.
+    """
+    if sys.stdout is None:
+        print(f"kahlercheck: cannot write output: {os.strerror(errno.EBADF)}",
+              file=sys.stderr)
+        sys.exit(1)
     try:
         code = main()
         sys.stdout.flush()

@@ -27,19 +27,27 @@ Every word the parser builds, down to each factor, is kept normalized:
 no two adjacent letters share a generator and no exponent is zero.  So
 joining two words can merge or cancel letters only at the junction
 (``_join``), and a relator is never normalized a second time.
+
+Each line of relators is split into token texts by one ``findall``, and
+each relator is read in one pass over its tokens (``_relator``), the
+open groups waiting on an explicit stack.  No token carries its column:
+an error names its token's index in the line, and only then is that
+line tokenized again to locate it.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from decimal import Decimal
 from typing import Iterable, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# Deepest parenthesis nesting accepted in a relator.  The word parser
-# recurses three frames per level, so this keeps far below Python's
-# default recursion limit.
+# Deepest parenthesis nesting accepted in a relator.  The parser does
+# not recurse: each open group is one entry on its stack, and this bounds
+# that stack.  It is part of the file format: a relator nested deeper is
+# an error at its first '(' too deep, whatever the memory.
 MAX_NESTING = 100
 
 # Longest accepted relator, in letters of its normalized word.  Nested
@@ -291,6 +299,16 @@ class Presentation(Record):
                     f"but only {self.n} generators are declared"
                 )
 
+    @classmethod
+    def _parsed(cls, generators: tuple[str, ...],
+                relators: tuple[Word, ...]) -> "Presentation":
+        """A presentation whose names are valid and distinct and whose
+        relators use only their indices, taken as it is."""
+        pres = object.__new__(cls)
+        object.__setattr__(pres, "generators", generators)
+        object.__setattr__(pres, "relators", relators)
+        return pres
+
     @property
     def n(self) -> int:
         return len(self.generators)
@@ -336,13 +354,15 @@ def format_presentation(pres: Presentation) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
-# A token is a tuple (kind, text, line, column), with 1-based line and
-# column.  Kinds: "name", "int", "sign", the punctuation character itself
-# ("^", "(", ")", ",", "|"), or "other" for any other non-space character,
-# which is an error.  Names and digits are ASCII only.
-_TOKEN_RE = re.compile(rf"({NAME_RE.pattern})|([0-9]+)|([-+])|([\^(),|])|(\S)")
-_KINDS = (None, "name", "int", "sign", None, "other")   # by group; None: the text
-_Token = tuple[str, str, int, int]
+# One token per match, as ``findall`` lists the texts: a name, the digits
+# of an exponent, a sign, a punctuation character ("^", "(", ")", ",",
+# "|"), or any other non-space character, which is an error.  Names and
+# digits are ASCII only.
+_TOKEN_RE = re.compile(rf"{NAME_RE.pattern}|[0-9]+|[-+]|[\^(),|]|\S")
+
+# The texts of the one-character tokens that are not errors.
+_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                   "0123456789-+^(),|")
 
 
 def _strip_comment(line: str) -> str:
@@ -350,116 +370,101 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-class _WordParser:
-    """Recursive-descent parser for one relator's token list.
+class _TokenError(Exception):
+    """A parse error at one token of a line: ``(message, index, past)``.
 
-    Words are built as normalized letter lists; only the relator itself
-    becomes a ``Word``, taken as it is (``Word._normalized``).
+    ``index`` counts the line's tokens from 0; the error is located at that
+    token, or just past it when ``past`` is true.  ``parse_presentation``
+    turns it into a ``ParseError`` with a line and column (``_located``).
     """
 
-    def __init__(self, tokens: list[_Token], gen_index: dict[str, int]):
-        self.tokens = tokens
-        self.pos = 0
-        self.gen_index = gen_index
-        self.depth = 0
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _too_long(index: int) -> _TokenError:
+    return _TokenError(f"relator longer than {MAX_LETTERS} letters", index, False)
 
-    def _next(self, kind: str | None = None, describe: str | None = None) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            _, text, line, col = self.tokens[-1]
-            raise ParseError(
-                f"unexpected end of relator (expected {describe or kind or 'more input'})",
-                line, col + len(text),
-            )
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {describe or kind}, found {tok[1]!r}",
-                             tok[2], tok[3])
-        self.pos += 1
-        return tok
 
-    def parse_relator(self) -> Word:
-        letters = self.parse_word(closers=())
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2], tok[3])
-        return Word._normalized(tuple(letters))
+def _relator(toks: list[str], a: int, b: int, atoms: dict[str, _Letters]) -> Word:
+    """The relator written by the tokens ``toks[a:b]`` (a < b), in one pass.
 
-    def parse_word(self, closers: tuple[str, ...]) -> list[tuple[int, int]]:
-        """The product of the factors up to a closer, reduced as it is read.
+    ``atoms`` maps each generator name to its one-letter word, made once
+    per presentation, so the letters read as names share their tuples.
 
-        The length limit is checked after each factor, at its first token.
-        """
-        letters: list[tuple[int, int]] = []
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] in closers:
-                return letters
-            _join(letters, self.parse_factor())
-            _check_length(len(letters), tok)
-
-    def parse_factor(self) -> _Letters:
-        atom = self.parse_atom()
-        caret = self._peek()
-        if caret is not None and caret[0] == "^":
-            self.pos += 1
-            sign = 1
-            tok = self._peek()
-            if tok is not None and tok[0] == "sign":
-                self.pos += 1
-                sign = -1 if tok[1] == "-" else 1
-            _, digits, line, col = self._next("int")
+    Each factor is joined to the word it belongs to as soon as it is
+    complete, so every word is reduced as it is read.  An open ``(`` waits
+    on ``stack`` as (the letters outside it, the word before its ``,`` or
+    None, the index of the ``(``).  The letter limit is checked at a
+    factor's first token, at a power's ``^`` and at each step of a
+    commutator's product, which is located at its ``(``.
+    """
+    limit = MAX_LETTERS
+    letters: list[tuple[int, int]] = []
+    stack: list[tuple[list[tuple[int, int]], list[tuple[int, int]] | None, int]] = []
+    i = a
+    while i < b:
+        t = toks[i]
+        factor_at = i
+        if t in atoms:
+            atom = atoms[t]
+        elif t == "(":
+            if len(stack) == MAX_NESTING:
+                raise _TokenError(f"parentheses nested deeper than {MAX_NESTING}", i, False)
+            stack.append((letters, None, i))
+            letters = []
+            i += 1
+            continue
+        elif t == "," and stack and stack[-1][1] is None:
+            outer, _, opened = stack[-1]
+            stack[-1] = (outer, letters, opened)
+            letters = []
+            i += 1
+            continue
+        elif t == ")" and stack:
+            outer, first, factor_at = stack.pop()
+            if first is None:
+                atom = letters
+            else:   # the commutator (first, letters), each product step checked
+                atom = first
+                for factor in (letters, _inverse(first), _inverse(letters)):
+                    if _product_length(atom, factor) > limit:
+                        raise _too_long(factor_at)
+                    _join(atom, factor)
+            letters = outer
+        elif t[0].isalpha():
+            raise _TokenError(f"unknown generator {t!r}", i, False)
+        else:
+            raise _TokenError(f"expected a generator or '(', found {t!r}", i, False)
+        i += 1
+        if i < b and toks[i] == "^":
+            caret = i
+            i += 1
+            negative = False
+            if i < b and (toks[i] == "-" or toks[i] == "+"):
+                negative = toks[i] == "-"
+                i += 1
+            if i == b:
+                raise _TokenError("unexpected end of relator (expected int)", b - 1, True)
+            digits = toks[i]
+            if not digits[0].isdigit():
+                raise _TokenError(f"expected int, found {digits!r}", i, False)
             try:
-                m = sign * int(digits)
+                m = int(digits)
             except ValueError:   # longer than the interpreter reads as an int
-                raise ParseError(f"exponent of {len(digits)} digits is too long",
-                                 line, col) from None
-            _check_length(_power_length(atom, m), caret)
+                raise _TokenError(f"exponent of {len(digits)} digits is too long",
+                                  i, False) from None
+            if negative:
+                m = -m
+            i += 1
+            # a power of one letter is one letter or none
+            if len(atom) > 1 and _power_length(atom, m) > limit:
+                raise _too_long(caret)
             atom = _power(atom, m)
-        return atom
-
-    def parse_atom(self) -> _Letters:
-        tok = self._next(describe="a generator or '('")
-        kind, text, line, col = tok
-        if kind == "name":
-            index = self.gen_index.get(text)
-            if index is None:
-                raise ParseError(f"unknown generator {text!r}", line, col)
-            return ((index, 1),)
-        if kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 line, col)
-            self.depth += 1
-            first = self.parse_word(closers=(",", ")"))
-            nxt = self._next(describe="',' or ')'")
-            if nxt[0] == ",":
-                second = self.parse_word(closers=(")",))
-                self._next(")")
-                first = self._product(
-                    (first, second, _inverse(first), _inverse(second)), tok)
-            elif nxt[0] != ")":
-                raise ParseError(f"expected ',' or ')', found {nxt[1]!r}",
-                                 nxt[2], nxt[3])
-            self.depth -= 1
-            return first
-        raise ParseError(f"expected a generator or '(', found {text!r}", line, col)
-
-    @staticmethod
-    def _product(factors: tuple[_Letters, ...], tok: _Token) -> list[tuple[int, int]]:
-        """Product of the factors, each step checked against MAX_LETTERS."""
-        word = list(factors[0])
-        for factor in factors[1:]:
-            _check_length(_product_length(word, factor), tok)
-            _join(word, factor)
-        return word
-
-
-def _check_length(letters: int, tok: _Token) -> None:
-    if letters > MAX_LETTERS:
-        raise ParseError(f"relator longer than {MAX_LETTERS} letters", tok[2], tok[3])
+        _join(letters, atom)
+        if len(letters) > limit:
+            raise _too_long(factor_at)
+    if stack:
+        expected = "',' or ')'" if stack[-1][1] is None else ")"
+        raise _TokenError(f"unexpected end of relator (expected {expected})", b - 1, True)
+    return Word._normalized(tuple(letters))
 
 
 def _parse_gens_line(line: str, line_no: int) -> tuple[str, ...]:
@@ -508,38 +513,43 @@ def parse_presentation(text: str) -> Presentation:
     if not rels_head.startswith("rels:"):
         raise ParseError("expected 'rels:' line", ri + 1, rels_offset + 1)
 
-    gen_index = {name: i for i, name in enumerate(generators)}
+    atoms = {name: ((i, 1),) for i, name in enumerate(generators)}
     relators: list[Word] = []
-    segment: list[_Token] = []
-    pipe_pending: _Token | None = None
-
-    def flush() -> None:
-        nonlocal pipe_pending
-        if segment:
-            relators.append(_WordParser(segment[:], gen_index).parse_relator())
-            segment.clear()
-            pipe_pending = None
-
+    pipe_pending: tuple[int, int, int] | None = None   # (line index, start, token index)
     start = rels_offset + len("rels:")
     for idx in range(ri, len(lines)):
-        raw = _strip_comment(lines[idx])
-        for match in _TOKEN_RE.finditer(raw, start):
-            text = match.group()
-            tok = (_KINDS[match.lastindex] or text, text, idx + 1, match.start() + 1)
-            if text == "|":
-                if not segment:
-                    raise ParseError("expected a relator before '|'", idx + 1, tok[3])
-                flush()
-                pipe_pending = tok
-            elif tok[0] == "other":
-                raise ParseError(f"unexpected character {text!r}", idx + 1, tok[3])
-            else:
-                segment.append(tok)
-        flush()
+        toks = _TOKEN_RE.findall(_strip_comment(lines[idx]), start)
+        try:
+            a = 0
+            for i, t in enumerate(toks):
+                if t == "|":
+                    if a == i:
+                        raise _TokenError("expected a relator before '|'", i, False)
+                    relators.append(_relator(toks, a, i, atoms))
+                    a = i + 1
+                    pipe_pending = (idx, start, i)
+                elif len(t) == 1 and t not in _CHARS:
+                    raise _TokenError(f"unexpected character {t!r}", i, False)
+            if a < len(toks):
+                relators.append(_relator(toks, a, len(toks), atoms))
+                pipe_pending = None
+        except _TokenError as exc:
+            raise _located(lines, idx, start, *exc.args) from None
         start = 0
     if pipe_pending is not None:
-        raise ParseError("expected a relator after '|'", pipe_pending[2], pipe_pending[3])
+        idx, start, i = pipe_pending
+        raise _located(lines, idx, start, "expected a relator after '|'", i, False)
 
     if relators and not generators:
         raise ParseError("relators given but no generators declared", gi + 1, 1)
-    return Presentation(generators, tuple(relators))
+    return Presentation._parsed(generators, tuple(relators))
+
+
+def _located(lines: list[str], idx: int, start: int,
+             message: str, index: int, past: bool) -> ParseError:
+    """The error at token ``index`` of line ``idx`` (tokenized from
+    ``start``), or just past it, as a ParseError: the line is tokenized
+    again to find the token's column."""
+    tokens = _TOKEN_RE.finditer(_strip_comment(lines[idx]), start)
+    match = next(itertools.islice(tokens, index, None))
+    return ParseError(message, idx + 1, (match.end() if past else match.start()) + 1)

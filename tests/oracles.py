@@ -1,13 +1,31 @@
 """Test-local independent computations used to freeze expected values,
 among them the dense references ``magnus.expand`` and ``nilpotent.evaluate``
-are checked against: the truncated series product and the group law."""
+are checked against: the truncated series product and the group law,
+and ``reference_parse``, the recursive-descent parser that
+``parse_presentation`` replaced."""
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from kahlercheck import presentation
 from kahlercheck.gradedlie import abelianization_data
 from kahlercheck.linalg import RationalMatrix, rank, wedge_pairs
+from kahlercheck.presentation import (
+    MAX_NESTING,
+    NAME_RE,
+    ParseError,
+    Presentation,
+    Word,
+    _inverse,
+    _join,
+    _parse_gens_line,
+    _power,
+    _power_length,
+    _product_length,
+    _strip_comment,
+)
 
 Rat = Fraction | int
 
@@ -333,3 +351,179 @@ def oracle_dict(doc):
 def coordinates(basis, vector):
     """An ambient vector's coordinates in a quotient basis, by the dense product."""
     return (basis.coords @ RationalMatrix.from_rows([[x] for x in vector], 1)).column(0)
+
+
+# --- the recursive-descent parser, as it was before the one-pass parser ---
+#
+# ``reference_parse`` tokenizes each line into (kind, text, line, column)
+# tuples and parses each relator by recursion, one method per grammar
+# rule.  It shares the word helpers ``_join``, ``_power``, ``_power_length``
+# and ``_product_length`` and the gens-line parser with the package, and
+# builds its result through the checking ``Presentation`` constructor.
+
+_REF_TOKEN_RE = re.compile(rf"({NAME_RE.pattern})|([0-9]+)|([-+])|([\^(),|])|(\S)")
+_REF_KINDS = (None, "name", "int", "sign", None, "other")   # by group; None: the text
+
+
+class _RefWordParser:
+    def __init__(self, tokens, gen_index):
+        self.tokens = tokens
+        self.pos = 0
+        self.gen_index = gen_index
+        self.depth = 0
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _next(self, kind=None, describe=None):
+        tok = self._peek()
+        if tok is None:
+            _, text, line, col = self.tokens[-1]
+            raise ParseError(
+                f"unexpected end of relator (expected {describe or kind or 'more input'})",
+                line, col + len(text),
+            )
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {describe or kind}, found {tok[1]!r}",
+                             tok[2], tok[3])
+        self.pos += 1
+        return tok
+
+    def parse_relator(self):
+        letters = self.parse_word(closers=())
+        tok = self._peek()
+        if tok is not None:
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2], tok[3])
+        return Word._normalized(tuple(letters))
+
+    def parse_word(self, closers):
+        letters = []
+        while True:
+            tok = self._peek()
+            if tok is None or tok[0] in closers:
+                return letters
+            _join(letters, self.parse_factor())
+            _ref_check_length(len(letters), tok)
+
+    def parse_factor(self):
+        atom = self.parse_atom()
+        caret = self._peek()
+        if caret is not None and caret[0] == "^":
+            self.pos += 1
+            sign = 1
+            tok = self._peek()
+            if tok is not None and tok[0] == "sign":
+                self.pos += 1
+                sign = -1 if tok[1] == "-" else 1
+            _, digits, line, col = self._next("int")
+            try:
+                m = sign * int(digits)
+            except ValueError:
+                raise ParseError(f"exponent of {len(digits)} digits is too long",
+                                 line, col) from None
+            _ref_check_length(_power_length(atom, m), caret)
+            atom = _power(atom, m)
+        return atom
+
+    def parse_atom(self):
+        tok = self._next(describe="a generator or '('")
+        kind, text, line, col = tok
+        if kind == "name":
+            index = self.gen_index.get(text)
+            if index is None:
+                raise ParseError(f"unknown generator {text!r}", line, col)
+            return ((index, 1),)
+        if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 line, col)
+            self.depth += 1
+            first = self.parse_word(closers=(",", ")"))
+            nxt = self._next(describe="',' or ')'")
+            if nxt[0] == ",":
+                second = self.parse_word(closers=(")",))
+                self._next(")")
+                first = self._product(
+                    (first, second, _inverse(first), _inverse(second)), tok)
+            elif nxt[0] != ")":
+                raise ParseError(f"expected ',' or ')', found {nxt[1]!r}",
+                                 nxt[2], nxt[3])
+            self.depth -= 1
+            return first
+        raise ParseError(f"expected a generator or '(', found {text!r}", line, col)
+
+    @staticmethod
+    def _product(factors, tok):
+        word = list(factors[0])
+        for factor in factors[1:]:
+            _ref_check_length(_product_length(word, factor), tok)
+            _join(word, factor)
+        return word
+
+
+def _ref_check_length(letters, tok):
+    limit = presentation.MAX_LETTERS
+    if letters > limit:
+        raise ParseError(f"relator longer than {limit} letters", tok[2], tok[3])
+
+
+def reference_parse(text: str) -> Presentation:
+    """``parse_presentation`` as a tokenizer of located tuples and a
+    recursive-descent parser; the same result or the same ParseError."""
+    lines = text.splitlines()
+
+    def meaningful(start):
+        for i in range(start, len(lines)):
+            if _strip_comment(lines[i]).strip():
+                return i
+        return None
+
+    gi = meaningful(0)
+    if gi is None:
+        raise ParseError("missing 'gens:' line", max(1, len(lines)), 1)
+    generators = _parse_gens_line(lines[gi], gi + 1)
+
+    ri = meaningful(gi + 1)
+    if ri is None:
+        raise ParseError("missing 'rels:' line", len(lines), 1)
+    rels_body = _strip_comment(lines[ri])
+    rels_head = rels_body.lstrip()
+    rels_offset = len(rels_body) - len(rels_head)
+    if not rels_head.startswith("rels:"):
+        raise ParseError("expected 'rels:' line", ri + 1, rels_offset + 1)
+
+    gen_index = {name: i for i, name in enumerate(generators)}
+    relators = []
+    segment = []
+    pipe_pending = None
+
+    def flush():
+        nonlocal pipe_pending
+        if segment:
+            relators.append(_RefWordParser(segment[:], gen_index).parse_relator())
+            segment.clear()
+            pipe_pending = None
+
+    start = rels_offset + len("rels:")
+    for idx in range(ri, len(lines)):
+        raw = _strip_comment(lines[idx])
+        for match in _REF_TOKEN_RE.finditer(raw, start):
+            text = match.group()
+            tok = (_REF_KINDS[match.lastindex] or text, text, idx + 1, match.start() + 1)
+            if text == "|":
+                if not segment:
+                    raise ParseError("expected a relator before '|'", idx + 1, tok[3])
+                flush()
+                pipe_pending = tok
+            elif tok[0] == "other":
+                raise ParseError(f"unexpected character {text!r}", idx + 1, tok[3])
+            else:
+                segment.append(tok)
+        flush()
+        start = 0
+    if pipe_pending is not None:
+        raise ParseError("expected a relator after '|'", pipe_pending[2], pipe_pending[3])
+
+    if relators and not generators:
+        raise ParseError("relators given but no generators declared", gi + 1, 1)
+    return Presentation(generators, tuple(relators))

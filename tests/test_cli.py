@@ -486,12 +486,30 @@ def test_batch_reports_unreadable_file(corpus_dir, monkeypatch):
 
 
 def test_batch_reports_unreadable_directory(corpus_dir, monkeypatch):
-    def failing(self):
+    def failing(path):
         raise PermissionError(13, "Permission denied")
-    monkeypatch.setattr(Path, "iterdir", failing)
+    monkeypatch.setattr(cli.os, "scandir", failing)
     code, out, err = run(["batch", str(corpus_dir)])
     assert code == 2 and out == ""
     assert err == f"{corpus_dir}: cannot read {corpus_dir}: Permission denied\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_batch_lists_the_files_that_path_lists(tmp_path):
+    # the files, links followed, in the order of sorted Path objects; a dot
+    # file, a directory and a link that leads nowhere are left out
+    for name in ("b.pres", ".hidden.pres", "a.pres", os.fsdecode(b"c\xff.pres")):
+        (tmp_path / name).write_text("gens: x\nrels: x\n", encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    for link, target in (("link.pres", "a.pres"), ("broken.pres", "nowhere"),
+                         ("loop.pres", "loop.pres"), ("through.pres", "a.pres/x"),
+                         ("dir_link", "sub"), (".hidden_link", "a.pres")):
+        os.symlink(target, tmp_path / link)
+    listed = cli._listed(tmp_path)
+    assert listed == sorted(p for p in tmp_path.iterdir()
+                            if p.is_file() and not p.name.startswith("."))
+    assert [p.name for p in listed] == [
+        "a.pres", "b.pres", os.fsdecode(b"c\xff.pres"), "link.pres"]
 
 
 @pytest.mark.parametrize("argv", [["bogus"], ["analyze"], []])
@@ -754,6 +772,19 @@ def test_console_script_reports_a_failed_write(corpus_dir):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("command", ["analyze", "batch"])
+def test_console_script_with_stdout_closed(corpus_dir, command):
+    # no sys.stdout at all: a failed write, one line and exit 1
+    target = corpus_dir / "surface_g2.pres" if command == "analyze" else corpus_dir
+    argv = ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "kahlercheck",
+            command, str(target)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        1, "kahlercheck: cannot write output: Bad file descriptor\n")
 
 
 # --- fixtures ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kahlercheck import presentation
@@ -19,6 +19,7 @@ from kahlercheck.presentation import (
     parse_presentation,
 )
 
+from oracles import reference_parse
 from strategies import presentations, raw_letters, relator_texts, words_with_rank
 
 PARSE_CASES = json.loads(
@@ -434,6 +435,64 @@ def test_parse_matches_frozen_messages():
         else:
             assert case["error"] is None, case["text"][:80]
             assert format_presentation(pres) == case["parsed"], case["text"][:80]
+
+
+# Characters an edited input may take at the edited place.
+EDIT_CHARS = "()^,|-+#é\t\n x"
+
+
+@st.composite
+def parser_inputs(draw):
+    """Presentation text, well formed or with one character deleted,
+    duplicated or replaced after its ``rels:``."""
+    if draw(st.booleans()):
+        text = format_presentation(draw(presentations()))
+    else:
+        n = draw(st.integers(1, 4))
+        rels = draw(st.lists(relator_texts(n), min_size=1, max_size=3))
+        sep = draw(st.sampled_from([" | ", "\n"]))
+        text = ("gens: " + " ".join(f"x{i}" for i in range(n)) + "\nrels: "
+                + sep.join(t for t, _ in rels) + "\n")
+    edit = draw(st.sampled_from(("none", "delete", "duplicate", "replace")))
+    if edit == "none":
+        return text
+    i = draw(st.integers(text.index("rels:") + len("rels:"), len(text) - 1))
+    if edit == "delete":
+        return text[:i] + text[i + 1:]
+    if edit == "duplicate":
+        return text[:i] + text[i] + text[i:]
+    return text[:i] + draw(st.sampled_from(EDIT_CHARS)) + text[i + 1:]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500)
+@given(parser_inputs())
+def test_parse_matches_the_recursive_descent_reference(text):
+    # the one-pass parser gives the old parser's presentation or its message
+    assert _parse_outcome(parse_presentation, text) == \
+        _parse_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("limit", [presentation.MAX_LETTERS, 6])
+def test_parse_matches_the_reference_under_every_single_edit(monkeypatch, limit):
+    # nested groups, commutators, powers and both relator separators, with
+    # each character deleted, duplicated and replaced in turn; at a letter
+    # limit of 6, the length checks fire at their factors, powers and groups
+    monkeypatch.setattr(presentation, "MAX_LETTERS", limit)
+    text = "gens: x y\nrels: ((x, y^-2)^3, (y x)^-1) x^+2 | (x,(y,x))\n  y^0 (x)\n"
+    start = text.index("rels:") + len("rels:")
+    for i in range(start, len(text)):
+        edits = [text[:i] + text[i + 1:], text[:i] + text[i] + text[i:]]
+        edits += [text[:i] + c + text[i + 1:] for c in EDIT_CHARS]
+        for edited in edits:
+            assert _parse_outcome(parse_presentation, edited) == \
+                _parse_outcome(reference_parse, edited), edited
 
 
 def test_format_example():
