@@ -22,10 +22,11 @@ Pipeline, all over the rationals:
    as a differential from a dim2-dimensional space into the wedge square;
    both iterate the quotient's sparse rows, read off the RREF of W.
 
-Conventions: wedge coordinates are ordered by linalg.wedge_pairs, with
-the index of a pair found by arithmetic, and a quadratic coefficient
-matrix q antisymmetrizes to q - q^T (off by an overall factor 2 from the
-normalized commutator coordinates, which does not change any span).
+Conventions: wedge coordinates are the pairs (i, j), i < j, in
+lexicographic order, with the index of a pair found by arithmetic (see
+``_wedge_first``), and a quadratic coefficient matrix q antisymmetrizes
+to q - q^T (off by an overall factor 2 from the normalized commutator
+coordinates, which does not change any span).
 """
 
 from enum import Enum
@@ -39,7 +40,6 @@ from .linalg import (
     SparseRow,
     alternating_rank,
     rref_rows,
-    rref_tail,
 )
 from .presentation import Presentation
 
@@ -144,11 +144,16 @@ def commutator_relations(ab: AbelianizationData) -> CommutatorRelations:
                     elif a > b:
                         block[first[b] + a] = block.get(first[b] + a, 0) - c * x * y
         rows.append({col: x for col, x in block.items() if x})
-    return CommutatorRelations(rref_tail(rows, 0, comb(ab.q, 2)), ab.s - ab.rank)
+    return CommutatorRelations(rref_rows(rows, comb(ab.q, 2)), ab.s - ab.rank)
 
 
 def _wedge_first(q: int) -> list[int]:
-    """first[i], with first[i] + j the wedge_pairs(q) index of (i, j), i < j."""
+    """first[i], with first[i] + j the index of the wedge pair (i, j), i < j.
+
+    The pairs are in lexicographic order, that of
+    ``itertools.combinations(range(q), 2)``; this fixes the basis of the
+    second exterior power throughout the package.
+    """
     return [i * q - i * (i + 1) // 2 - i - 1 for i in range(q)]
 
 

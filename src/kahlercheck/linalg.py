@@ -1,20 +1,24 @@
 """Exact linear algebra over the rationals: one sparse elimination.
 
 Every row reduction runs through ``_eliminate``, fraction-free over int
-on sparse rows: rows are scaled to integers, combined by integer row
-operations and divided by the gcd of their entries.  The elimination
-runs forward, to echelon rows; ``_normalized`` then reduces them in one
-Jordan pass from the last pivot back, to primitive integer rows with
-positive pivot entries.  A row costs its nonzeros, however wide the
-space.  This form of the RREF of a row space is unique: in any row
-order, the rows of Gauss-Jordan elimination over Fraction, each times
-its pivot entry, so reports are reproducible byte for byte.  Only the
-coordinates ``QuotientBasis`` yields are Fractions.  ``rref_tail`` takes
-integer rows and reduces only those that pivot at or right of a given
-column.  The pipeline and the ``--oracle`` route pass sparse rows only,
-so the dense ``RationalMatrix``, ``rref``, ``rank``, ``nullspace``,
-``quotient_basis`` and ``row_space_contains`` have no caller outside
-this module; tests and the benchmark's tracer use them.
+on sparse integer rows: rows are combined by integer row operations and
+divided by the gcd of their entries.  The elimination runs forward, to
+echelon rows; ``_normalized`` then reduces them in one Jordan pass from
+the last pivot back, to primitive integer rows with positive pivot
+entries.  A row costs its nonzeros, however wide the space.  This form
+of the RREF of a row space is unique: in any row order, the rows of
+Gauss-Jordan elimination over Fraction, each times its pivot entry, so
+reports are reproducible byte for byte.  Only the coordinates
+``QuotientBasis`` yields are Fractions.
+
+The pipeline and the ``--oracle`` route pass integer rows only, to
+``rref_rows`` and ``_eliminate``.  The dense ``RationalMatrix``
+(``from_rows``, ``rows``, ``transpose``, ``__matmul__``), ``rref``,
+``rank``, ``nullspace``, ``quotient_basis`` and ``row_space_contains``
+have no caller outside this module: the benchmark's tracer wraps them
+by name, so they stay while it does, and tests use them.  They take
+Fraction entries, so ``rref`` scales its rows to integers, as
+``alternating_rank`` does.
 """
 
 from fractions import Fraction
@@ -49,9 +53,6 @@ class RationalMatrix(NamedTuple):
     def rows(self) -> int:
         return len(self.entries)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def transpose(self) -> "RationalMatrix":
         columns = tuple(tuple(row[j] for row in self.entries) for j in range(self.cols))
         return RationalMatrix(columns, self.rows)
@@ -64,11 +65,6 @@ class RationalMatrix(NamedTuple):
                   for j in range(other.cols))
             for row in self.entries)
         return RationalMatrix(out, other.cols)
-
-    def stacked(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column counts differ")
-        return RationalMatrix(self.entries + other.entries, self.cols)
 
 
 # A sparse integer row: its nonzero entries as (column, value), in column order.
@@ -94,28 +90,28 @@ class Rref(NamedTuple):
 
 def rref(matrix: RationalMatrix) -> Rref:
     """Reduced row-echelon form of a dense matrix's rows."""
-    return rref_rows((dict(enumerate(row)) for row in matrix.entries), matrix.cols)
+    return rref_rows((_integer_row(dict(enumerate(row))) for row in matrix.entries),
+                     matrix.cols)
 
 
-def rref_rows(rows: Iterable[Mapping[int, Fraction | int]], cols: int) -> Rref:
-    """Reduced row-echelon form of sparse rows, given as column -> value maps."""
-    return _normalized(_eliminate(_integer_row(row) for row in rows), cols)
-
-
-def rref_tail(rows: Iterable[dict[int, int]], first: int, cols: int) -> Rref:
-    """RREF of the rows of a span that pivot at column ``first`` or right of it.
+def rref_rows(rows: Iterable[dict[int, int]], cols: int) -> Rref:
+    """RREF of the part of a span that vanishes at every negative column.
 
     The rows are sparse integer rows, column -> nonzero int; columns may
-    be negative.  The echelon rows whose pivot is at or right of
-    ``first`` hold no column left of it, so they are the echelon rows of
-    the span's part that vanishes there, and only they are reduced.
+    be negative.  The echelon rows that pivot at column 0 or right of it
+    hold no negative column, so they are the echelon rows of that part,
+    and only they are reduced.  The rows are read, never changed.
     """
     reduced = _eliminate(rows)
-    return _normalized({p: row for p, row in reduced.items() if p >= first}, cols)
+    return _normalized({p: row for p, row in reduced.items() if p >= 0}, cols)
 
 
 def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """The nonzero entries times the lcm of their denominators, as ints."""
+    """The nonzero entries times the lcm of their denominators, as ints.
+
+    Only the entries of ``rref`` and ``alternating_rank`` may be
+    Fractions, so only they make their rows with it.
+    """
     den = lcm(*[x.denominator for x in row.values()])
     return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
 
@@ -187,7 +183,9 @@ def nullspace(matrix: RationalMatrix) -> RationalMatrix:
     result has matrix.cols rows and (cols - rank) columns.  These are the
     rows of the quotient coordinates modulo the row space.
     """
-    return quotient_basis(matrix, matrix.cols).coords.transpose()
+    rows = [dict(row) for row in quotient_basis(matrix, matrix.cols)]
+    return RationalMatrix.from_rows(
+        [[row.get(c, 0) for row in rows] for c in range(matrix.cols)], len(rows))
 
 
 class QuotientBasis(Record):
@@ -224,28 +222,11 @@ class QuotientBasis(Record):
             if f not in pivots:
                 yield tuple(sorted([*touched.get(f, ()), (f, one)]))
 
-    @property
-    def coords(self) -> RationalMatrix:
-        """The coordinate matrix, dense."""
-        cols = self.reduced.cols
-        return RationalMatrix.from_rows(
-            [[dict(row).get(c, 0) for c in range(cols)] for row in self], cols)
-
 
 def quotient_basis(relations: RationalMatrix, ambient_dim: int) -> QuotientBasis:
     if relations.cols != ambient_dim:
         raise ValueError("relation rows must live in the ambient space")
     return QuotientBasis(rref(relations))
-
-
-def wedge_pairs(q: int) -> tuple[tuple[int, int], ...]:
-    """Index pairs (i, j) with i < j, in lexicographic order.
-
-    This fixes the basis ordering of the second exterior power used
-    throughout the package: pair (i, j) has index first[i] + j, with
-    first[i] = i*q - i*(i+1)/2 - i - 1.
-    """
-    return tuple((i, j) for i in range(q) for j in range(i + 1, q))
 
 
 def alternating_rank(form: Mapping[tuple[int, int], Fraction | int], q: int) -> int:
@@ -260,10 +241,10 @@ def alternating_rank(form: Mapping[tuple[int, int], Fraction | int], q: int) -> 
             raise ValueError(f"({i}, {j}) is not a pair i < j of indices below {q}")
         rows[i][j] = c
         rows[j][i] = -c
-    return rref_rows(rows, q).rank
+    return rref_rows(map(_integer_row, rows), q).rank
 
 
 def row_space_contains(matrix: RationalMatrix, vector: Sequence[Fraction | int]) -> bool:
     """Membership test: does the row space contain the vector?"""
-    stacked = matrix.stacked(RationalMatrix.from_rows([vector], matrix.cols))
+    stacked = RationalMatrix.from_rows([*matrix.entries, vector], matrix.cols)
     return rank(stacked) == rank(matrix)

@@ -7,11 +7,12 @@ and ``reference_parse``, the recursive-descent parser that
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from kahlercheck import presentation
 from kahlercheck.gradedlie import abelianization_data
-from kahlercheck.linalg import RationalMatrix, rank, wedge_pairs
+from kahlercheck.linalg import RationalMatrix, rank
 from kahlercheck.presentation import (
     MAX_NESTING,
     NAME_RE,
@@ -133,6 +134,11 @@ def left_kernel(ab):
             lam[p] = -row[f]
         basis.append(tuple(lam))
     return basis
+
+
+def wedge_pairs(n):
+    """The pairs (i, j), i < j, in the package's wedge order: lexicographic."""
+    return tuple(combinations(range(n), 2))
 
 
 def wedge_dict(coefficients, n):
@@ -276,7 +282,7 @@ def dense_commutator_matrix(pres):
     """
     ab = abelianization_data(pres)
     n, q = ab.n, ab.q
-    coords = ab.quotient.coords
+    coords = densify(ab.quotient, n)
     quadratic = [dense_expand(rel.letters, n).quadratic for rel in pres.relators]
     columns = []
     for lam in left_kernel(ab):
@@ -350,7 +356,8 @@ def oracle_dict(doc):
 
 def coordinates(basis, vector):
     """An ambient vector's coordinates in a quotient basis, by the dense product."""
-    return (basis.coords @ RationalMatrix.from_rows([[x] for x in vector], 1)).column(0)
+    column = RationalMatrix.from_rows([[x] for x in vector], 1)
+    return tuple(row[0] for row in (densify(basis, len(vector)) @ column).entries)
 
 
 # --- the recursive-descent parser, as it was before the one-pass parser ---

@@ -1,12 +1,13 @@
 import copy
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kahlercheck.gradedlie import _wedge_first
 from kahlercheck.linalg import (
     RationalMatrix,
     _eliminate,
@@ -18,12 +19,18 @@ from kahlercheck.linalg import (
     row_space_contains,
     rref,
     rref_rows,
-    rref_tail,
+)
+from kahlercheck.magnus import expand
+
+from oracles import (
+    coordinates,
+    densify,
+    fraction_rows,
+    gauss_jordan_rref,
+    wedge_dict,
     wedge_pairs,
 )
-
-from oracles import coordinates, densify, fraction_rows, gauss_jordan_rref, wedge_dict
-from strategies import identity_matrix, rational_matrices, zero_matrix
+from strategies import identity_matrix, presentations, rational_matrices, zero_matrix
 
 
 def mat(rows, cols=None):
@@ -78,7 +85,7 @@ def test_rref_output_is_reduced():
     red = rref(m)
     assert red.pivots == (0, 2)
     for i, p in enumerate(red.pivots):
-        column = densify(red.rows, m.cols).column(p)
+        column = [row[p] for row in densify(red.rows, m.cols).entries]
         assert column[i] == 1
         assert all(x == 0 for j, x in enumerate(column) if j != i)
 
@@ -139,8 +146,8 @@ def test_rref_matches_fraction_gauss_jordan(m):
 @given(elimination_matrices())
 def test_eliminate_keys_rows_by_their_leftmost_column(m):
     # forward elimination leaves echelon rows, on the RREF's pivots
-    rows = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
-    reduced = _eliminate(_integer_row(row) for row in rows)
+    rows = [_integer_row(dict(enumerate(row))) for row in m.entries]
+    reduced = _eliminate(rows)
     assert all(row and min(row) == p for p, row in reduced.items())
     assert tuple(sorted(reduced)) == rref_rows(rows, m.cols).pivots
 
@@ -148,19 +155,35 @@ def test_eliminate_keys_rows_by_their_leftmost_column(m):
 @given(elimination_matrices(), st.randoms(use_true_random=False))
 def test_rref_rows_ignores_row_order(m, rnd):
     # the RREF of a row space is unique, whatever order the rows come in
-    rows = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
+    rows = [_integer_row(dict(enumerate(row))) for row in m.entries]
     rnd.shuffle(rows)
     assert rref_rows(rows, m.cols) == rref(m)
 
 
+@given(presentations())
+def test_rref_rows_leaves_its_rows_as_they_were(pres):
+    # the elimination keeps the caller's dicts as its pivot rows: it must
+    # not write to them.  Rows laid out as the block pass lays them out,
+    # exponent sums at negative columns beside the wedge image.
+    n, first = pres.n, _wedge_first(pres.n)
+    rows = []
+    for rel in pres.relators:
+        series = expand(rel, n)
+        rows.append({**{g - n: e for g, e in series.linear.items()},
+                     **{first[i] + j: c for (i, j), c in series.wedge.items()}})
+    before = copy.deepcopy(rows)
+    rref_rows(rows, comb(n, 2))
+    assert rows == before
+
+
 @given(elimination_matrices(), st.data())
-def test_rref_tail_is_the_rref_right_of_a_column(m, data):
+def test_rref_rows_reduces_the_rows_right_of_column_0(m, data):
     # the columns shifted left by `shift`, so the first ones are negative
     shift = data.draw(st.integers(0, m.cols))
     rows = [_integer_row({c - shift: x for c, x in enumerate(row)}) for row in m.entries]
     full = rref(m)
     kept = [i for i, p in enumerate(full.pivots) if p >= shift]
-    tail = rref_tail(rows, 0, m.cols - shift)
+    tail = rref_rows(rows, m.cols - shift)
     assert tail.pivots == tuple(full.pivots[i] - shift for i in kept)
     assert tail.rows == tuple(tuple((c - shift, x) for c, x in full.rows[i]) for i in kept)
     assert tail.cols == m.cols - shift
@@ -183,7 +206,7 @@ def test_nullspace_single_row():
     basis = nullspace(m)
     assert basis.cols == 2
     for c in range(basis.cols):
-        v = basis.column(c)
+        v = [row[c] for row in basis.entries]
         assert sum(mi * vi for mi, vi in zip(m.entries[0], v)) == 0
 
 
@@ -205,7 +228,7 @@ def test_rank_of_transpose(m):
 def test_quotient_no_relations():
     qb = quotient_basis(RationalMatrix.from_rows([], cols=4), 4)
     assert qb.dim == 4
-    assert qb.coords.entries == identity_matrix(4).entries
+    assert densify(qb, 4).entries == identity_matrix(4).entries
 
 
 def test_quotient_basis_is_an_immutable_value():
@@ -271,12 +294,6 @@ def test_quotient_rows_are_read_off_the_rref(m):
 
 
 # --- alternating forms --------------------------------------------------------------
-
-def test_wedge_pairs_order():
-    assert wedge_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    assert wedge_pairs(1) == ()
-    assert wedge_pairs(0) == ()
-
 
 def test_alternating_rank_zero_form():
     assert alternating_rank({}, 3) == 0

@@ -87,8 +87,10 @@ def test_associativity(data):
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         element_mul(generator(0, 2), generator(0, 3))
-    with pytest.raises(ValueError):
-        evaluate(Word(((3, 1),)), 2)
+    # a raw Word from outside the parser: its largest index is checked
+    for letters in (((3, 1),), ((0, 1), (2, -1))):
+        with pytest.raises(ValueError, match="outside the ambient rank"):
+            evaluate(Word(letters), 2)
 
 
 @given(words_with_rank())
