@@ -28,6 +28,12 @@ no two adjacent letters share a generator and no exponent is zero.  So
 joining two words can merge or cancel letters only at the junction
 (``_join``), and a relator is never normalized a second time.
 
+The ``gens:`` line is read straight into the relators' name table,
+``atoms`` (name to its one-letter word): each whitespace-separated name
+is entered there once, so a duplicate is found by one lookup, and the
+generator tuple is the table's keys in order.  One reader (``_header``)
+finds both the ``gens:`` and the ``rels:`` line.
+
 Each line of relators is split into token texts by one ``findall``, and
 each relator is read in one pass over its tokens (``_relator``), the
 open groups waiting on an explicit stack.  No token carries its column:
@@ -133,7 +139,12 @@ def _product_length(a: _Letters, b: _Letters) -> int:
 
 
 def _power_length(a: _Letters, m: int) -> int:
-    """Letters in a ** m (see ``Word.power_length``)."""
+    """Letters in a ** m, computed without building it.
+
+    Write a = u c u^-1 with c cyclically reduced.  Then
+    a ** m = u c^m u^-1, and the copies of c only merge at their
+    junctions when c starts and ends on the same generator.
+    """
     if not m or not a:
         return 0
     k = _conjugator_length(a)
@@ -248,21 +259,8 @@ class Word(Record):
         return Word._normalized(tuple(_inverse(self.letters)))
 
     def __pow__(self, m: int) -> "Word":
-        """self ** m, built as u c^m u^-1 (see ``power_length``)."""
+        """self ** m, built as u c^m u^-1 (see ``_power_length``)."""
         return Word._normalized(_power(self.letters, m))
-
-    def product_length(self, other: "Word") -> int:
-        """Letters in self * other, computed without building it."""
-        return _product_length(self.letters, other.letters)
-
-    def power_length(self, m: int) -> int:
-        """Letters in self ** m, computed without building it.
-
-        Write self = u c u^-1 with c cyclically reduced.  Then
-        self ** m = u c^m u^-1, and the copies of c only merge at their
-        junctions when c starts and ends on the same generator.
-        """
-        return _power_length(self.letters, m)
 
     def conjugated_by(self, g: "Word") -> "Word":
         """Return g * self * g^-1."""
@@ -363,6 +361,9 @@ _TOKEN_RE = re.compile(rf"{NAME_RE.pattern}|[0-9]+|[-+]|[\^(),|]|\S")
 # The texts of the one-character tokens that are not errors.
 _CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
                    "0123456789-+^(),|")
+
+# A whitespace-separated run of the ``gens:`` line: one generator name.
+_RUN_RE = re.compile(r"\S+")
 
 
 def _strip_comment(line: str) -> str:
@@ -467,56 +468,38 @@ def _relator(toks: list[str], a: int, b: int, atoms: dict[str, _Letters]) -> Wor
     return Word._normalized(tuple(letters))
 
 
-def _parse_gens_line(line: str, line_no: int) -> tuple[str, ...]:
-    body = _strip_comment(line)
-    head = body.lstrip()
-    offset = len(body) - len(head)
-    if not head.startswith("gens:"):
-        raise ParseError("expected 'gens:' line", line_no, offset + 1)
-    names: list[str] = []
-    pos = offset + len("gens:")
-    while pos < len(body):
-        if body[pos].isspace():
-            pos += 1
-            continue
-        m = NAME_RE.match(body, pos)
-        if m is None or (m.end() < len(body) and not body[m.end()].isspace()):
-            raise ParseError("invalid generator name", line_no, pos + 1)
-        if m.group() in names:
-            raise ParseError(f"duplicate generator {m.group()!r}", line_no, pos + 1)
-        names.append(m.group())
-        pos = m.end()
-    return tuple(names)
+def _header(lines: list[str], start: int, key: str) -> tuple[int, str, int]:
+    """The first line from ``start`` that is not blank or only a comment,
+    which must begin with ``key``: its index, its text without the
+    comment, and the offset just past ``key``."""
+    for i in range(start, len(lines)):
+        body = _strip_comment(lines[i])
+        head = body.lstrip()
+        if head:
+            offset = len(body) - len(head)
+            if not head.startswith(key):
+                raise ParseError(f"expected '{key}' line", i + 1, offset + 1)
+            return i, body, offset + len(key)
+    raise ParseError(f"missing '{key}' line", max(1, len(lines)), 1)
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse presentation text; raises ParseError with a 1-based location."""
     lines = text.splitlines()
+    gi, body, pos = _header(lines, 0, "gens:")
+    atoms: dict[str, _Letters] = {}
+    for run in _RUN_RE.finditer(body, pos):
+        name = run.group()
+        if not NAME_RE.fullmatch(name):
+            raise ParseError("invalid generator name", gi + 1, run.start() + 1)
+        if name in atoms:
+            raise ParseError(f"duplicate generator {name!r}", gi + 1, run.start() + 1)
+        atoms[name] = ((len(atoms), 1),)
+    generators = tuple(atoms)
 
-    def meaningful(start: int) -> int | None:
-        for i in range(start, len(lines)):
-            if _strip_comment(lines[i]).strip():
-                return i
-        return None
-
-    gi = meaningful(0)
-    if gi is None:
-        raise ParseError("missing 'gens:' line", max(1, len(lines)), 1)
-    generators = _parse_gens_line(lines[gi], gi + 1)
-
-    ri = meaningful(gi + 1)
-    if ri is None:
-        raise ParseError("missing 'rels:' line", len(lines), 1)
-    rels_body = _strip_comment(lines[ri])
-    rels_head = rels_body.lstrip()
-    rels_offset = len(rels_body) - len(rels_head)
-    if not rels_head.startswith("rels:"):
-        raise ParseError("expected 'rels:' line", ri + 1, rels_offset + 1)
-
-    atoms = {name: ((i, 1),) for i, name in enumerate(generators)}
+    ri, _, start = _header(lines, gi + 1, "rels:")
     relators: list[Word] = []
     pipe_pending: tuple[int, int, int] | None = None   # (line index, start, token index)
-    start = rels_offset + len("rels:")
     for idx in range(ri, len(lines)):
         toks = _TOKEN_RE.findall(_strip_comment(lines[idx]), start)
         try:

@@ -21,7 +21,6 @@ from kahlercheck.presentation import (
     Word,
     _inverse,
     _join,
-    _parse_gens_line,
     _power,
     _power_length,
     _product_length,
@@ -365,8 +364,10 @@ def coordinates(basis, vector):
 # ``reference_parse`` tokenizes each line into (kind, text, line, column)
 # tuples and parses each relator by recursion, one method per grammar
 # rule.  It shares the word helpers ``_join``, ``_power``, ``_power_length``
-# and ``_product_length`` and the gens-line parser with the package, and
-# builds its result through the checking ``Presentation`` constructor.
+# and ``_product_length`` with the package, but keeps its own header and
+# gens-line code, a copy of the package's before the gens line went
+# straight into the name table, and builds its result through the
+# checking ``Presentation`` constructor.
 
 _REF_TOKEN_RE = re.compile(rf"({NAME_RE.pattern})|([0-9]+)|([-+])|([\^(),|])|(\S)")
 _REF_KINDS = (None, "name", "int", "sign", None, "other")   # by group; None: the text
@@ -474,6 +475,28 @@ def _ref_check_length(letters, tok):
         raise ParseError(f"relator longer than {limit} letters", tok[2], tok[3])
 
 
+def _ref_parse_gens_line(line, line_no):
+    body = _strip_comment(line)
+    head = body.lstrip()
+    offset = len(body) - len(head)
+    if not head.startswith("gens:"):
+        raise ParseError("expected 'gens:' line", line_no, offset + 1)
+    names = []
+    pos = offset + len("gens:")
+    while pos < len(body):
+        if body[pos].isspace():
+            pos += 1
+            continue
+        m = NAME_RE.match(body, pos)
+        if m is None or (m.end() < len(body) and not body[m.end()].isspace()):
+            raise ParseError("invalid generator name", line_no, pos + 1)
+        if m.group() in names:
+            raise ParseError(f"duplicate generator {m.group()!r}", line_no, pos + 1)
+        names.append(m.group())
+        pos = m.end()
+    return tuple(names)
+
+
 def reference_parse(text: str) -> Presentation:
     """``parse_presentation`` as a tokenizer of located tuples and a
     recursive-descent parser; the same result or the same ParseError."""
@@ -488,7 +511,7 @@ def reference_parse(text: str) -> Presentation:
     gi = meaningful(0)
     if gi is None:
         raise ParseError("missing 'gens:' line", max(1, len(lines)), 1)
-    generators = _parse_gens_line(lines[gi], gi + 1)
+    generators = _ref_parse_gens_line(lines[gi], gi + 1)
 
     ri = meaningful(gi + 1)
     if ri is None:

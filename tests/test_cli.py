@@ -359,6 +359,16 @@ def test_analyze_wide_presentations(tmp_path):
     assert "  dim W = 1\n  dim Gamma2/Gamma3 = 12497499\n" in out
     assert "  surface genus match: none\n" in out
     assert "  dim V1 = 5000  dim V2 = 12497499\n" in out
+    # 100,000 names (690 KB): each duplicate check is one lookup in the
+    # name table, so the gens line parses in linear time
+    gens = " ".join(f"x{i}" for i in range(100000))
+    widest = write(tmp_path, f"gens: {gens}\nrels: (x0,x1)\n", "wide100000.pres")
+    start = time.perf_counter()
+    code, out, err = run(["analyze", str(widest)])
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    assert "  dim Gamma2/Gamma3 = 4999949999\n" in out
+    assert "  dim V1 = 100000  dim V2 = 4999949999\n" in out
     surface = write(tmp_path, surface_text(1000), "surface.pres")
     start = time.perf_counter()
     code, out, err = run(["analyze", str(surface)])
