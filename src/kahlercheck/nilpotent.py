@@ -8,14 +8,17 @@ commutator part w in the wedge square of Q^n.  The closed product law
 is the degree-2 Campbell-Hausdorff formula; powers are simply
 (m v, m w), for any integer m.  This gives a second, independently
 coded route to the degree-2 invariants computed by the series pipeline,
-used for cross-checking; it shares no code with the series expansion
-or the degree-1 and degree-2 layers, and takes only the sparse integer
-elimination from ``linalg``.
+used for cross-checking.  Its arithmetic is its own: from the series
+expansion it shares only the certified split of a word as u c^m u^-1
+(``presentation._root``), none of the degree-1 and degree-2 layers, and
+it takes only the sparse integer elimination from ``linalg``.
 
 ``evaluate`` applies that law to integer pairs (v, 2w): a word's
 image has an integer v, and 2w stays integral because each generator
-power factor m e_g adds v ^ m e_g to it.  Both are kept sparse, so a
-word costs its letters times the support of v, not C(n,2).
+power factor m e_g adds v ^ m e_g to it.  Both are kept sparse, and
+only the letters of u and c are multiplied out, so a word costs the
+letters of its root times the support of v, not C(n,2) nor m copies
+of c.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from math import comb
 
 from .linalg import _eliminate
-from .presentation import Presentation, Word
+from .presentation import Presentation, Word, _Letters, _root
 
 
 def _wedge_first(n: int) -> list[int]:
@@ -32,18 +35,14 @@ def _wedge_first(n: int) -> list[int]:
     return [i * n - i * (i + 1) // 2 - i - 1 for i in range(n)]
 
 
-def evaluate(word: Word, n: int) -> tuple[dict[int, int], dict[int, int]]:
+def _fold(letters: _Letters, first: list[int]) -> tuple[dict[int, int], dict[int, int]]:
     """Left-to-right product of the generator images raised to the exponents.
 
-    Returns the integer pair (v, 2w), nonzeros only: v as
-    {generator: exponent sum} and 2w as {wedge index: coefficient}.
+    Each factor m e_g adds v ^ m e_g to 2w, on the support of v only.
     """
-    if word.max_generator() >= n:
-        raise ValueError("word uses a generator index outside the ambient rank")
-    first = _wedge_first(n)
     v: dict[int, int] = {}
     w2: dict[int, int] = {}
-    for g, m in word.letters:
+    for g, m in letters:
         for i, vi in v.items():
             if i < g:
                 p = first[i] + g
@@ -56,7 +55,37 @@ def evaluate(word: Word, n: int) -> tuple[dict[int, int], dict[int, int]]:
             v[g] = vg
         else:
             del v[g]
-    return v, {p: c for p, c in w2.items() if c}
+    return v, w2
+
+
+def evaluate(word: Word, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The image of a word, as the integer pair (v, 2w), nonzeros only.
+
+    v is {generator: exponent sum} and 2w is {wedge index: coefficient}.
+    The word is split as u c^m u^-1 (``_root``) and only u and c are
+    multiplied out (``_fold``): by the product law c^m is (m v_c, m w_c),
+    and conjugating (v, w) by u gives (v, w + v_u ^ v), so the pair is
+    (m v_c, m 2w_c + 2 v_u ^ m v_c).
+    """
+    if word.max_generator() >= n:
+        raise ValueError("word uses a generator index outside the ambient rank")
+    first = _wedge_first(n)
+    letters = word.letters
+    k, p, m = _root(letters)
+    v, w2 = _fold(letters[k:k + p], first)
+    if m != 1:
+        v = {g: m * vg for g, vg in v.items()}
+        w2 = {q: m * c for q, c in w2.items()}
+    if k:
+        for i, ui in _fold(letters[:k], first)[0].items():
+            for j, vj in v.items():
+                if i < j:
+                    q = first[i] + j
+                    w2[q] = w2.get(q, 0) + 2 * ui * vj
+                elif i > j:
+                    q = first[j] + i
+                    w2[q] = w2.get(q, 0) - 2 * ui * vj
+    return v, {q: c for q, c in w2.items() if c}
 
 
 def commutator_quotient_dim(pres: Presentation) -> int:

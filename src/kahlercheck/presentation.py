@@ -46,6 +46,7 @@ from __future__ import annotations
 import itertools
 import re
 from decimal import Decimal
+from math import gcd
 from typing import Iterable, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -125,6 +126,46 @@ def _conjugator_length(a: _Letters) -> int:
     while a[k][0] == a[last - k][0] and a[k][1] == -a[last - k][1]:
         k += 1
     return k
+
+
+def _root(letters: _Letters) -> tuple[int, int, int]:
+    """Split a normalized word as u c^m u^-1, with c not a proper power.
+
+    Returns (k, p, m): u is letters[:k] and c is letters[k:k + p].  The
+    core between u and u^-1 is m copies of c, so m divides both its
+    length and the number of times its first letter occurs in it; when
+    these are coprime, as for most words, the core is its own root.
+    Otherwise each distinct letter of the core is coded as one character
+    (there are at most ``MAX_LETTERS`` of them, fewer than 0x110000), and
+    p is the first place the coded core occurs again in itself doubled,
+    a C-level, linear search.  That split is certified (``_certified``),
+    so a wrong one raises instead of reaching an evaluator.  A word of
+    fewer than 4 letters is (0, len, 1): no split saves a letter there.
+    """
+    n = len(letters)
+    if n < 4:
+        return 0, n, 1
+    k = _conjugator_length(letters)
+    core = letters[k:n - k]
+    if gcd(core.count(core[0]), len(core)) == 1:
+        return k, len(core), 1
+    codes = {letter: chr(i) for i, letter in enumerate(dict.fromkeys(core))}
+    s = "".join(map(codes.__getitem__, core))
+    p = (s + s).find(s, 1)
+    return _certified(letters, k, p, len(core) // p)
+
+
+def _certified(letters: _Letters, k: int, p: int, m: int) -> tuple[int, int, int]:
+    """The split (k, p, m), once letters is rebuilt from it as u c^m u^-1.
+
+    Raises ``ValueError`` on a mismatch; an explicit check, so it holds
+    under ``python -O`` as well.
+    """
+    n = len(letters)
+    if (letters[k:n - k] != letters[k:k + p] * m
+            or letters[n - k:] != tuple(_inverse(letters[:k]))):
+        raise ValueError(f"({k}, {p}, {m}) is not a root split of the word")
+    return k, p, m
 
 
 def _product_length(a: _Letters, b: _Letters) -> int:

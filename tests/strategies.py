@@ -23,6 +23,16 @@ def words_with_rank(draw, max_gens: int = 5, max_len: int = 12):
 
 
 @st.composite
+def root_words_with_rank(draw, max_gens: int = 5):
+    """A conjugate u c^m u^-1 of a power, m in -9..-1 or 1..9, u possibly empty."""
+    n = draw(st.integers(1, max_gens))
+    u = Word(tuple(draw(raw_letters(n, 4))))
+    c = Word(tuple(draw(raw_letters(n, 6))))
+    m = draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1)))
+    return n, u * c ** m * u.inverse()
+
+
+@st.composite
 def commutator_words_with_rank(draw, max_gens: int = 5):
     n = draw(st.integers(1, max_gens))
     word = Word()

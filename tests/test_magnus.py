@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kahlercheck import nilpotent
+from kahlercheck import magnus, nilpotent
 from kahlercheck.linalg import RationalMatrix, row_space_contains
 from kahlercheck.magnus import Expansion, expand
 from kahlercheck.presentation import Word
@@ -19,7 +19,12 @@ from oracles import (
     wedge_dict,
     wedge_pairs,
 )
-from strategies import commutator_words_with_rank, raw_letters, words_with_rank
+from strategies import (
+    commutator_words_with_rank,
+    raw_letters,
+    root_words_with_rank,
+    words_with_rank,
+)
 
 
 def series(n, linear, quadratic):
@@ -158,6 +163,27 @@ def test_expand_checks_rank():
 def test_expand_is_integer_fold_of_generator_powers(data):
     n, word = data
     assert_is_fold(expand(word, n), word.letters, n)
+
+
+@given(root_words_with_rank())
+def test_expand_is_integer_fold_on_powers_and_conjugates(data):
+    n, word = data
+    assert_is_fold(expand(word, n), word.letters, n)
+
+
+def test_expand_folds_only_the_root(monkeypatch):
+    # u c^m u^-1 folds the letters of u and c once, not m copies of c
+    visited = []
+    fold = magnus._fold
+    monkeypatch.setattr(magnus, "_fold",
+                        lambda letters, n: visited.append(len(letters)) or fold(letters, n))
+    x, y, z = (Word.generator(i) for i in range(3))
+    assert expand((x * y) ** 500000, 2) == Expansion({0: 500000, 1: 500000}, {(0, 1): 500000})
+    assert sum(visited) == 2
+    visited.clear()
+    assert expand(x * (y * z) ** 1000 * x.inverse(), 3) == Expansion(
+        {1: 1000, 2: 1000}, {(0, 1): 2000, (0, 2): 2000, (1, 2): 1000})
+    assert sum(visited) == 3
 
 
 @given(words_with_rank(), st.data())

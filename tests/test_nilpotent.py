@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kahlercheck import magnus
+from kahlercheck import magnus, nilpotent
 from kahlercheck.nilpotent import commutator_quotient_dim, evaluate
 from kahlercheck.presentation import Presentation, Word, parse_presentation
 
@@ -22,7 +22,7 @@ from oracles import (
     jointspan_dim2,
     wedge_dict,
 )
-from strategies import presentations, words_with_rank
+from strategies import presentations, root_words_with_rank, words_with_rank
 
 
 def elements(n):
@@ -93,9 +93,7 @@ def test_rank_mismatch_rejected():
             evaluate(Word(letters), 2)
 
 
-@given(words_with_rank())
-def test_evaluate_matches_literal_product(data):
-    n, word = data
+def assert_is_literal_product(n, word):
     acc = identity(n)
     for g, m in word.letters:
         acc = element_mul(acc, element_power(generator(g, n), m))
@@ -108,16 +106,50 @@ def test_evaluate_matches_literal_product(data):
     assert densify_element((v, w2), n) == acc
 
 
+@given(words_with_rank())
+def test_evaluate_matches_literal_product(data):
+    assert_is_literal_product(*data)
+
+
+@given(root_words_with_rank())
+def test_evaluate_matches_literal_product_on_powers_and_conjugates(data):
+    assert_is_literal_product(*data)
+
+
+def test_evaluate_multiplies_out_only_the_root(monkeypatch):
+    # u c^m u^-1 multiplies out the letters of u and c once, not m copies of c
+    visited = []
+    fold = nilpotent._fold
+    monkeypatch.setattr(nilpotent, "_fold",
+                        lambda letters, first: visited.append(len(letters)) or fold(letters, first))
+    x, y, z = (Word.generator(i) for i in range(3))
+    assert evaluate((x * y) ** 500000, 2) == ({0: 500000, 1: 500000}, {0: 500000})
+    assert sum(visited) == 2
+    visited.clear()
+    # wedge indices for n = 3: (0, 1) is 0, (0, 2) is 1, (1, 2) is 2
+    assert evaluate(x * (y * z) ** 1000 * x.inverse(), 3) == (
+        {1: 1000, 2: 1000}, {0: 2000, 1: 2000, 2: 1000})
+    assert sum(visited) == 3
+
+
 # --- cross-evaluator identity -------------------------------------------------------
 
-@given(words_with_rank())
-def test_series_and_group_evaluations_agree(data):
+def assert_evaluations_agree(n, word):
     # antisymmetrized quadratic part is exactly twice the commutator part
-    n, word = data
     exp = magnus.expand(word, n)
     val = densify_element(evaluate(word, n), n)
     assert dense_vector(exp.linear, n) == val.abelian
     assert exp.wedge == wedge_dict([2 * w for w in val.commutator], n)
+
+
+@given(words_with_rank())
+def test_series_and_group_evaluations_agree(data):
+    assert_evaluations_agree(*data)
+
+
+@given(root_words_with_rank())
+def test_series_and_group_evaluations_agree_on_powers_and_conjugates(data):
+    assert_evaluations_agree(*data)
 
 
 # --- the joint-span dimension ---------------------------------------------------------

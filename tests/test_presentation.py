@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 from fractions import Fraction
@@ -161,6 +162,53 @@ def test_power_is_the_normalized_repeated_word(data, m):
     conj = Word(((0, 1),) + word.letters + ((0, -1),))
     copies = conj.letters if m >= 0 else conj.inverse().letters
     assert presentation._power(conj.letters, m) == Word(copies * abs(m)).letters
+
+
+def brute_force_root(letters):
+    """(k, p, m) with u = letters[:k] as long as it can be and c = letters[k:k + p]
+    as short as it can be, found by trying every length."""
+    n = len(letters)
+    k = 0
+    while 2 * k + 1 < n and letters[n - 1 - k] == (letters[k][0], -letters[k][1]):
+        k += 1
+    core = letters[k:n - k]
+    p = next(p for p in range(1, len(core) + 1)
+             if len(core) % p == 0 and core[:p] * (len(core) // p) == core)
+    return k, p, len(core) // p
+
+
+def test_root_is_the_smallest_period_on_every_short_word():
+    # every normalized word of up to 8 letters on 2 generators, exponents +-1 and +-2:
+    # the generators alternate, so a word is its first generator and its exponents
+    for length in range(9):
+        for g0 in (0, 1):
+            for exps in itertools.product((-2, -1, 1, 2), repeat=length):
+                letters = tuple(((g0 + i) % 2, e) for i, e in enumerate(exps))
+                split = presentation._root(letters)
+                assert split == (brute_force_root(letters) if length >= 4 else (0, length, 1))
+                k, p, m = split
+                assert letters == letters[:k] + letters[k:k + p] * m + Word(letters[:k]).inverse().letters
+
+
+def test_root_certificate_rejects_a_wrong_split(monkeypatch):
+    x, y, z = (Word.generator(i) for i in range(3))
+    letters = (x * (y * z) ** 3 * x.inverse()).letters
+    assert presentation._certified(letters, 1, 2, 3) == (1, 2, 3)
+    assert presentation._root(letters) == (1, 2, 3)
+    for split in ((0, 2, 3), (2, 2, 3), (1, 2, 2), (1, 3, 2), (1, 1, 6), (0, 4, 2)):
+        with pytest.raises(ValueError, match="is not a root split"):
+            presentation._certified(letters, *split)
+    with pytest.raises(ValueError, match="is not a root split"):   # its core fits, not its u^-1
+        presentation._certified(((x * y) ** 2).letters, 1, 2, 1)
+    # a coding that gives two letters one character finds a wrong period
+    monkeypatch.setattr(presentation, "chr", lambda i: "a", raising=False)
+    with pytest.raises(ValueError, match=r"\(1, 1, 6\) is not a root split"):
+        presentation._root(letters)
+
+
+def test_every_relator_letter_has_a_character():
+    # ``_root`` codes each distinct letter of a core as one character
+    assert presentation.MAX_LETTERS < 0x110000
 
 
 @given(st.integers(1, 4).flatmap(
