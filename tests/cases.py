@@ -52,3 +52,11 @@ CHAIN_PLUS_POWER = parse_presentation(
     "gens: x1 x2 x3 x4 x5\n"
     "rels: x1^2 x2^-2 x4^2 | (x1,x2) | (x2,x3) | (x3,x4) | (x4,x5)"
 )
+
+# Hostile inputs the parser refuses, each at a located character.
+DEEP_NEST = "gens: x\nrels: " + "(" * 3000 + "x" + ")" * 3000 + "\n"
+# 30 nested commutators ((x,y),y)...: 2^31 letters if built.
+LONG_NEST = "gens: x y\nrels: " + "(" * 30 + "x,y)" + ",y)" * 29 + "\n"
+HUGE_POWER = "gens: x y\nrels: (x y)^10000000\n"
+# Past the interpreter's 4300-digit int() limit.
+LONG_EXPONENT = "gens: x y\nrels: x^" + "9" * 5000 + "\n"
