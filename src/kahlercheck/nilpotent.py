@@ -91,41 +91,37 @@ def evaluate(word: Word, n: int) -> tuple[dict[int, int], dict[int, int]]:
 def commutator_quotient_dim(pres: Presentation) -> int:
     """Dimension of the degree-2 graded piece, by the joint-span formula.
 
-    Inside the wedge square of Q^n, the wedges v_r ^ e_j of each
-    relator's abelianized vector with every coordinate vector, together
-    with the commutator parts of the exponent-cancelling relator
-    combinations, span a subspace; the degree-2 piece is the quotient by
-    it.  One elimination in Q^n + wedge square (columns 0..n-1 for v,
-    n + index for a wedge pair) finds that span's dimension: the rows
-    (v_r, 2 w_r) and (0, v_r ^ e_j) span a space whose projection onto
-    Q^n has image V, of dimension k, the pivots below n, and kernel the
-    joint span.  So dim2 = C(n,2) - (rank - k).
+    Inside the wedge square of Q^n, the subspace V ^ Q^n, with V the span
+    of the relators' abelianized vectors v_r, together with the
+    commutator parts of the exponent-cancelling relator combinations,
+    spans the joint span; the degree-2 piece is the quotient by it.  One
+    elimination in Q^n + wedge square (columns 0..n-1 for v, n + index for
+    a wedge pair) finds that span's dimension: the rows (v_r, 2 w_r) and
+    (0, x) for x in V ^ Q^n span a space whose projection onto Q^n has
+    image V, of dimension k, and kernel the joint span.  So
+    dim2 = C(n,2) - (rank - k).
 
-    With a the first index of v's support, v ^ e_a = v ^ (e_a - v / v_a)
-    is a combination of the rows for j != a, none of which is zero, so it
-    is left out: it holds every pair (a, i) of the support, and
-    eliminating it would fill each other row with them (n^3 entries for
-    one relator on all n generators).
+    V ^ Q^n is spanned by a basis, so that no row is eliminated to zero:
+    for each echelon row u of the v_r, with leftmost column p, the rows
+    u ^ e_j for every j but the pivot columns at or left of p.  The
+    leading pair of u ^ e_j is (p, j) or (j, p), and no two of these
+    rows share one, so they are independent; there are
+    C(n,2) - C(n-k,2) of them, the dimension of V ^ Q^n.
     """
     n = pres.n
     first = _wedge_first(n)
-    rows = []
-    for rel in pres.relators:
-        v, w2 = evaluate(rel, n)
-        rows.append({**v, **{n + p: c for p, c in w2.items()}})
-        if not v:
-            continue
-        a = min(v)
+    images = [evaluate(rel, n) for rel in pres.relators]
+    basis = _eliminate(v for v, _ in images)
+    rows = [{**v, **{n + q: c for q, c in w2.items()}} for v, w2 in images]
+    for p, u in basis.items():
         for j in range(n):
-            if j == a:   # v ^ e_a is a combination of the others, see above
+            if j <= p and j in basis:
                 continue
             wedge = {}
-            for i, vi in v.items():
+            for i, ui in u.items():
                 if i < j:
-                    wedge[n + first[i] + j] = vi
+                    wedge[n + first[i] + j] = ui
                 elif i > j:
-                    wedge[n + first[j] + i] = -vi
+                    wedge[n + first[j] + i] = -ui
             rows.append(wedge)
-    pivots = _eliminate(rows)
-    k = sum(1 for p in pivots if p < n)
-    return comb(n, 2) - (len(pivots) - k)
+    return comb(n, 2) - (len(_eliminate(rows)) - len(basis))

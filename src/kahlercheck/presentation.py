@@ -20,8 +20,9 @@ exponents are ASCII; any other character in a relator that is not
 whitespace is an error at its line and column.
 
 A relator may expand to at most ``MAX_LETTERS`` letters (maximal powers
-of one generator) after free reduction; every power, commutator and
-product is checked against that bound before it is built.
+of one generator) after free reduction.  The two word builders enforce
+that bound themselves: ``_join`` and ``_power`` each count the letters
+of what they would build, and refuse before building past it.
 
 Every word the parser builds, down to each factor, is kept normalized:
 no two adjacent letters share a generator and no exponent is zero.  So
@@ -101,12 +102,14 @@ def _inverse(a: _Letters) -> list[tuple[int, int]]:
     return [(g, -e) for g, e in reversed(a)]
 
 
-def _join(out: list[tuple[int, int]], b: _Letters) -> None:
+def _join(out: list[tuple[int, int]], b: _Letters, limit: int | None = None) -> bool:
     """Append the normalized word b to the normalized word out, in place.
 
     Only the letters at the junction can cancel, pairwise, until one pair
     merges into a nonzero power or a side runs out; the rest of b is then
     copied in bulk, so a join costs the cancelled letters, not len(b).
+    Returns False, with the rest of b not copied, when the product has
+    more than ``limit`` letters.
     """
     j = 0
     while out and j < len(b) and out[-1][0] == b[j][0]:
@@ -117,7 +120,10 @@ def _join(out: list[tuple[int, int]], b: _Letters) -> None:
             out[-1] = (gen, merged)
             break
         out.pop()
+    if limit is not None and len(out) + len(b) - j > limit:
+        return False
     out.extend(b[j:] if j else b)
+    return True
 
 
 def _conjugator_length(a: _Letters) -> int:
@@ -151,77 +157,60 @@ def _root(letters: _Letters) -> tuple[int, int, int]:
         return k, len(core), 1
     codes = {letter: chr(i) for i, letter in enumerate(dict.fromkeys(core))}
     s = "".join(map(codes.__getitem__, core))
+    del core, codes   # not held while the split is certified
     p = (s + s).find(s, 1)
-    return _certified(letters, k, p, len(core) // p)
+    return _certified(letters, k, p, len(s) // p)
 
 
 def _certified(letters: _Letters, k: int, p: int, m: int) -> tuple[int, int, int]:
-    """The split (k, p, m), once letters is rebuilt from it as u c^m u^-1.
+    """The split (k, p, m), once letters is checked to be u c^m u^-1.
 
-    Raises ``ValueError`` on a mismatch; an explicit check, so it holds
-    under ``python -O`` as well.
+    The core between u and u^-1 has m * p letters and period p, so it is
+    m copies of its first p letters; no copy is built.  Raises
+    ``ValueError`` on a mismatch; an explicit check, so it holds under
+    ``python -O`` as well.
     """
     n = len(letters)
-    if (letters[k:n - k] != letters[k:k + p] * m
+    if (m < 1 or p * m != n - 2 * k
+            or letters[k + p:n - k] != letters[k:n - k - p]
             or letters[n - k:] != tuple(_inverse(letters[:k]))):
         raise ValueError(f"({k}, {p}, {m}) is not a root split of the word")
     return k, p, m
 
 
-def _product_length(a: _Letters, b: _Letters) -> int:
-    """Letters in the product a b."""
-    i, j = len(a), 0
-    while i and j < len(b) and a[i - 1][0] == b[j][0]:
-        if a[i - 1][1] + b[j][1]:
-            return i + len(b) - j - 1   # the two letters merge into one
-        i -= 1
-        j += 1
-    return i + len(b) - j
-
-
-def _power_length(a: _Letters, m: int) -> int:
-    """Letters in a ** m, computed without building it.
-
-    Write a = u c u^-1 with c cyclically reduced.  Then
-    a ** m = u c^m u^-1, and the copies of c only merge at their
-    junctions when c starts and ends on the same generator.
-    """
-    if not m or not a:
-        return 0
-    k = _conjugator_length(a)
-    core = len(a) - 2 * k
-    if core == 1:
-        return 2 * k + 1
-    m = abs(m)
-    merges = m - 1 if a[k][0] == a[len(a) - 1 - k][0] else 0
-    return 2 * k + m * core - merges
-
-
-def _power(a: _Letters, m: int) -> tuple[tuple[int, int], ...]:
-    """a ** m for normalized a, built as u c^m u^-1 without repeated products.
+def _power(a: _Letters, m: int,
+           limit: int | None = None) -> tuple[tuple[int, int], ...] | None:
+    """a ** m for normalized a, built as u c^m u^-1 without repeated products,
+    or None, with nothing built, when it has more than ``limit`` letters
+    (a positive bound: a power of one letter is one letter or none).
 
     The copies of c meet only at their junctions, and merge there just
-    when c starts and ends on the same generator (``_power_length``);
-    otherwise u, the copies of c and u^-1 are already normalized side by
-    side and are concatenated as they are.
+    when c starts and ends on the same generator: c = (g, e) mid (g, f)
+    gives (g, e) mid [(g, e + f) mid]^(m - 1) (g, f), where e + f is not
+    0 since c is cyclically reduced.  Otherwise u, the copies of c and
+    u^-1 are already normalized side by side and are concatenated as
+    they are.
     """
     if not m or not a:
         return ()
     if len(a) == 1:
         (gen, exp), = a
         return ((gen, exp * m),)
+    n, reps = len(a), abs(m)
     k = _conjugator_length(a)
-    core = a[k:len(a) - k]
-    if m < 0:
-        core, m = _inverse(core), -m
+    merges = a[k][0] == a[n - 1 - k][0]   # also for a core of one letter
+    if limit is not None and 2 * k + reps * (n - 2 * k) - (reps - 1) * merges > limit:
+        return None
+    core = a[k:n - k] if m > 0 else _inverse(a[k:n - k])
     if len(core) == 1:
         (gen, exp), = core
-        powered = [(gen, exp * m)]
+        powered = [(gen, exp * reps)]
+    elif merges:
+        (gen, e), mid, (_, f) = core[0], core[1:-1], core[-1]
+        powered = [core[0], *mid, *([(gen, e + f), *mid] * (reps - 1)), core[-1]]
     else:
-        powered = list(core) * m
-    if len(core) > 1 and core[0][0] == core[-1][0]:   # the copies of c merge
-        return _normalize([*a[:k], *powered, *a[len(a) - k:]])
-    return (*a[:k], *powered, *a[len(a) - k:])
+        powered = list(core) * reps
+    return (*a[:k], *powered, *a[n - k:])
 
 
 class Record:
@@ -300,7 +289,7 @@ class Word(Record):
         return Word._normalized(tuple(_inverse(self.letters)))
 
     def __pow__(self, m: int) -> "Word":
-        """self ** m, built as u c^m u^-1 (see ``_power_length``)."""
+        """self ** m, built as u c^m u^-1 (see ``_power``)."""
         return Word._normalized(_power(self.letters, m))
 
     def conjugated_by(self, g: "Word") -> "Word":
@@ -434,9 +423,9 @@ def _relator(toks: list[str], a: int, b: int, atoms: dict[str, _Letters]) -> Wor
     Each factor is joined to the word it belongs to as soon as it is
     complete, so every word is reduced as it is read.  An open ``(`` waits
     on ``stack`` as (the letters outside it, the word before its ``,`` or
-    None, the index of the ``(``).  The letter limit is checked at a
-    factor's first token, at a power's ``^`` and at each step of a
-    commutator's product, which is located at its ``(``.
+    None, the index of the ``(``).  A power the builder refuses past the
+    letter limit is located at its ``^``, a product at its factor's first
+    token, and each step of a commutator's product at its ``(``.
     """
     limit = MAX_LETTERS
     letters: list[tuple[int, int]] = []
@@ -467,9 +456,8 @@ def _relator(toks: list[str], a: int, b: int, atoms: dict[str, _Letters]) -> Wor
             else:   # the commutator (first, letters), each product step checked
                 atom = first
                 for factor in (letters, _inverse(first), _inverse(letters)):
-                    if _product_length(atom, factor) > limit:
+                    if not _join(atom, factor, limit):
                         raise _too_long(factor_at)
-                    _join(atom, factor)
             letters = outer
         elif t[0].isalpha():
             raise _TokenError(f"unknown generator {t!r}", i, False)
@@ -496,12 +484,10 @@ def _relator(toks: list[str], a: int, b: int, atoms: dict[str, _Letters]) -> Wor
             if negative:
                 m = -m
             i += 1
-            # a power of one letter is one letter or none
-            if len(atom) > 1 and _power_length(atom, m) > limit:
+            atom = _power(atom, m, limit)
+            if atom is None:
                 raise _too_long(caret)
-            atom = _power(atom, m)
-        _join(letters, atom)
-        if len(letters) > limit:
+        if not _join(letters, atom, limit):
             raise _too_long(factor_at)
     if stack:
         expected = "',' or ')'" if stack[-1][1] is None else ")"

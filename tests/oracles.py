@@ -22,8 +22,6 @@ from kahlercheck.presentation import (
     _inverse,
     _join,
     _power,
-    _power_length,
-    _product_length,
     _strip_comment,
 )
 
@@ -363,9 +361,10 @@ def coordinates(basis, vector):
 #
 # ``reference_parse`` tokenizes each line into (kind, text, line, column)
 # tuples and parses each relator by recursion, one method per grammar
-# rule.  It shares the word helpers ``_join``, ``_power``, ``_power_length``
-# and ``_product_length`` with the package, but keeps its own header and
-# gens-line code, a copy of the package's before the gens line went
+# rule.  It shares the unbounded word builders ``_join`` and ``_power``
+# with the package, but counts letters itself: a product's after it is
+# built, a power's before (``power_length``).  It keeps its own header
+# and gens-line code, a copy of the package's before the gens line went
 # straight into the name table, and builds its result through the
 # checking ``Presentation`` constructor.
 
@@ -429,7 +428,7 @@ class _RefWordParser:
             except ValueError:
                 raise ParseError(f"exponent of {len(digits)} digits is too long",
                                  line, col) from None
-            _ref_check_length(_power_length(atom, m), caret)
+            _ref_check_length(power_length(atom, m), caret)
             atom = _power(atom, m)
         return atom
 
@@ -464,9 +463,29 @@ class _RefWordParser:
     def _product(factors, tok):
         word = list(factors[0])
         for factor in factors[1:]:
-            _ref_check_length(_product_length(word, factor), tok)
             _join(word, factor)
+            _ref_check_length(len(word), tok)
         return word
+
+
+def power_length(a, m):
+    """Letters in a ** m for normalized a, computed without building it.
+
+    Write a = u c u^-1 with c cyclically reduced.  Then
+    a ** m = u c^m u^-1, and the copies of c only merge at their
+    junctions when c starts and ends on the same generator.
+    """
+    if not m or not a:
+        return 0
+    k, last = 0, len(a) - 1
+    while a[k] == (a[last - k][0], -a[last - k][1]):
+        k += 1
+    core = len(a) - 2 * k
+    if core == 1:
+        return 2 * k + 1
+    m = abs(m)
+    merges = m - 1 if a[k][0] == a[last - k][0] else 0
+    return 2 * k + m * core - merges
 
 
 def _ref_check_length(letters, tok):

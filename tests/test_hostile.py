@@ -115,6 +115,9 @@ ROWS = [
     # never normalized again, and both evaluators fold 2 letters
     analyze("power_500000", "gens: x y\nrels: (x y)^500000\n", 150_000, 20,
             ("  dim Gamma2/Gamma3 = 0",), flags=("--oracle",)),
+    # the copies of x y x merge: x y x^2 y ... x^2 y x, built as it is
+    analyze("merged_power_oracle", "gens: x y\nrels: (x y x)^333333\n", 220_000, 20,
+            ("  dim Gamma2/Gamma3 = 0",), flags=("--oracle",)),
     # the same letters as 2 MB of plain tokens: each letter shares its
     # generator's one tuple
     *(analyze("plain_tokens" + "_oracle" * oracle, PLAIN_TOKENS, 100_000, 20,
@@ -134,6 +137,11 @@ ROWS = [
     analyze("squares_3000_commutator",
             f"gens: {gens(3000)}\nrels: {chain(3000, 'x{} x{}^2')} | (x0,x1)\n", 100_000, 5,
             ("  dim ker d0 = 1", "  dim Gamma2/Gamma3 = 0")),
+    # the oracle spans V ^ Q^n by a basis, so no row of its joint span is
+    # eliminated to zero
+    analyze("chain_400_oracle",
+            f"gens: {gens(400)}\nrels: {chain(400, 'x{} x{}^2')} | (x0,x1)\n", 180_000, 10,
+            ("  dim ker d0 = 1", "  dim Gamma2/Gamma3 = 0"), flags=("--oracle",)),
     # every pair of generators meets in the integer pushforward
     analyze("long_800", f"gens: {gens(800)}\nrels: {gens(800)} | (x0,x1)\n", 400_000, 5,
             ("  dim Gamma2/Gamma3 = 318800",)),

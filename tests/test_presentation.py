@@ -16,13 +16,11 @@ from kahlercheck.presentation import (
     ParseError,
     Presentation,
     Word,
-    _power_length,
-    _product_length,
     format_presentation,
     parse_presentation,
 )
 
-from oracles import reference_parse
+from oracles import power_length, reference_parse
 from strategies import presentations, raw_letters, relator_texts, words_with_rank
 
 PARSE_CASES = json.loads(
@@ -195,9 +193,15 @@ def test_root_certificate_rejects_a_wrong_split(monkeypatch):
     letters = (x * (y * z) ** 3 * x.inverse()).letters
     assert presentation._certified(letters, 1, 2, 3) == (1, 2, 3)
     assert presentation._root(letters) == (1, 2, 3)
-    for split in ((0, 2, 3), (2, 2, 3), (1, 2, 2), (1, 3, 2), (1, 1, 6), (0, 4, 2)):
+    # (1, 2, 2) and (1, 2, 4): a wrong m; (1, 3, 2) and (1, 1, 6): the core
+    # y z y z y z has the right length but not period 3 or 1
+    for split in ((0, 2, 3), (2, 2, 3), (1, 2, 2), (1, 2, 4), (1, 3, 2), (1, 1, 6),
+                  (0, 4, 2), (1, -2, -3), (4, 0, 1)):
         with pytest.raises(ValueError, match="is not a root split"):
             presentation._certified(letters, *split)
+    # a core of period 2 whose length is not a multiple of 2
+    with pytest.raises(ValueError, match="is not a root split"):
+        presentation._certified((x * (y * z) ** 3 * y * x.inverse()).letters, 1, 2, 3)
     with pytest.raises(ValueError, match="is not a root split"):   # its core fits, not its u^-1
         presentation._certified(((x * y) ** 2).letters, 1, 2, 1)
     # a coding that gives two letters one character finds a wrong period
@@ -362,23 +366,39 @@ def test_parse_nesting_limit():
     assert excinfo.value.column == len("rels: ") + MAX_NESTING + 1
 
 
-@given(words_with_rank(), st.data())
-def test_product_and_power_lengths_match_built_words(data, extra):
-    n, u = data
-    v = Word(tuple(extra.draw(raw_letters(n))))
-    assert _product_length(u.letters, v.letters) == len((u * v).letters)
-    conj = v.inverse() * u * v   # exercises the split u c u^-1
-    m = extra.draw(st.integers(-6, 6))
-    assert _power_length(u.letters, m) == len((u ** m).letters)
-    assert _power_length(conj.letters, m) == len((conj ** m).letters)
+@given(words_with_rank(), st.integers(-6, 6), st.integers(-2, 2))
+@example((2, Word(((0, 1), (1, 1), (0, 1)))), -3, 0)       # x y x: copies merge
+@example((2, Word(((0, 1), (1, 1), (0, 1)))), 4, -1)
+@example((3, Word(((2, 1), (0, 1), (1, 1), (0, 2), (2, -1)))), -2, 1)  # z (x y x^2) z^-1
+def test_builders_refuse_exactly_past_the_limit(data, m, slack):
+    # for a limit around the true length, each builder builds the word the
+    # unbounded normalization gives, or refuses exactly when it is longer
+    _, word = data
+    conj = Word(((0, 1),) + word.letters + ((0, -1),))
+    for a in (word.letters, conj.letters):
+        power = Word((a if m >= 0 else Word(a).inverse().letters) * abs(m)).letters
+        assert power_length(a, m) == len(power)
+        limit = max(1, len(power) + slack)
+        assert presentation._power(a, m, limit) == (power if len(power) <= limit else None)
+        # a a^m cancels all of a when m < 0, and merges at the junction
+        # when the copies of its core do
+        product = Word(a + power).letters
+        limit = max(1, len(product) + slack)
+        joined = list(a)
+        assert presentation._join(joined, power, limit) == (len(product) <= limit)
+        if len(product) <= limit:
+            assert tuple(joined) == product
 
 
-def test_power_length_of_huge_exponent():
-    assert _power_length(Word.generator(0).letters, 10 ** 50) == 1
-    xy = Word(((0, 1), (1, 1)))
-    assert _power_length(xy.letters, -(10 ** 50)) == 2 * 10 ** 50
+def test_power_refuses_a_huge_exponent_unbuilt():
+    limit = presentation.MAX_LETTERS
+    assert presentation._power(((0, 1),), 10 ** 50, limit) == ((0, 10 ** 50),)
+    assert power_length(((0, 1), (1, 1)), -(10 ** 50)) == 2 * 10 ** 50
+    assert presentation._power(((0, 1), (1, 1)), -(10 ** 50), limit) is None
     # x y x merges at each junction of its powers: x y x^2 y x
-    assert _power_length(Word(((0, 1), (1, 1), (0, 1))).letters, 2) == 5
+    xyx = ((0, 1), (1, 1), (0, 1))
+    assert presentation._power(xyx, 2, 5) == ((0, 1), (1, 1), (0, 2), (1, 1), (0, 1))
+    assert presentation._power(xyx, 2, 4) is None
 
 
 def test_parse_letter_limit(monkeypatch):
