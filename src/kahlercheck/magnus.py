@@ -8,7 +8,8 @@ antisymmetric part.  ``expand`` keeps both sparse: L on the generators
 with a nonzero exponent sum, q_ij - q_ji on the pairs (i, j), i < j,
 that the word touches.  It works over ``int`` by
 prefix sums in one pass over the letters of the word's root: a word
-u c^m u^-1 costs the letters of u and c, not m copies of c.
+u c^m u^-1 costs the letters of u and c, not m copies of c, and so does
+the check of its generator indices against the rank.
 """
 
 from typing import NamedTuple
@@ -62,10 +63,10 @@ def expand(word: Word, n: int) -> Expansion:
     by u adds 2 L_u ^ m L_c.  Only the nonzeros are turned back into
     pairs.
     """
-    if word.max_generator() >= n:
-        raise ValueError("word uses a generator index outside the ambient rank")
     letters = word.letters
     k, p, m = _root(letters)
+    if max(letters[:k + p], default=(-1, 0))[0] >= n:   # every generator is in u or c
+        raise ValueError("word uses a generator index outside the ambient rank")
     linear, wedge = _fold(letters[k:k + p], n)
     if m != 1:
         linear = {g: m * lg for g, lg in linear.items()}

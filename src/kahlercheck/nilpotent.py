@@ -18,7 +18,8 @@ image has an integer v, and 2w stays integral because each generator
 power factor m e_g adds v ^ m e_g to it.  Both are kept sparse, and
 only the letters of u and c are multiplied out, so a word costs the
 letters of its root times the support of v, not C(n,2) nor m copies
-of c.
+of c; its generator indices are checked against the rank on u and c
+alone.
 """
 
 from __future__ import annotations
@@ -67,11 +68,11 @@ def evaluate(word: Word, n: int) -> tuple[dict[int, int], dict[int, int]]:
     and conjugating (v, w) by u gives (v, w + v_u ^ v), so the pair is
     (m v_c, m 2w_c + 2 v_u ^ m v_c).
     """
-    if word.max_generator() >= n:
-        raise ValueError("word uses a generator index outside the ambient rank")
-    first = _wedge_first(n)
     letters = word.letters
     k, p, m = _root(letters)
+    if max(letters[:k + p], default=(-1, 0))[0] >= n:   # every generator is in u or c
+        raise ValueError("word uses a generator index outside the ambient rank")
+    first = _wedge_first(n)
     v, w2 = _fold(letters[k:k + p], first)
     if m != 1:
         v = {g: m * vg for g, vg in v.items()}

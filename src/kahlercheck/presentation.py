@@ -63,6 +63,8 @@ MAX_NESTING = 100
 # the bound keeps parsing and expansion within time and memory.
 MAX_LETTERS = 1_000_000
 
+_BLOCK = 4096   # letters compared at a time when a period is checked
+
 
 class ParseError(ValueError):
     """Syntax or semantic error in presentation text, with location."""
@@ -138,44 +140,52 @@ def _root(letters: _Letters) -> tuple[int, int, int]:
     """Split a normalized word as u c^m u^-1, with c not a proper power.
 
     Returns (k, p, m): u is letters[:k] and c is letters[k:k + p].  The
-    core between u and u^-1 is m copies of c, so m divides both its
-    length and the number of times its first letter occurs in it; when
-    these are coprime, as for most words, the core is its own root.
-    Otherwise each distinct letter of the core is coded as one character
-    (there are at most ``MAX_LETTERS`` of them, fewer than 0x110000), and
-    p is the first place the coded core occurs again in itself doubled,
-    a C-level, linear search.  That split is certified (``_certified``),
-    so a wrong one raises instead of reaching an evaluator.  A word of
-    fewer than 4 letters is (0, len, 1): no split saves a letter there.
+    core between u and u^-1 is m copies of c, so m divides g, the gcd of
+    its length and the number of times its first letter occurs in it.
+    By the Fine-Wilf periodicity lemma every count of copies the core
+    splits into divides the largest, so g is m when it is such a count
+    (``_certified``), as when g is 1.  Otherwise each distinct letter of
+    the core is coded as one character (at most ``MAX_LETTERS``, fewer
+    than 0x110000), and p is the first place the coded core occurs again
+    in itself doubled, a C-level, linear search; a wrong split it finds
+    raises instead of reaching an evaluator.  A word of fewer than 4
+    letters is (0, len, 1).
     """
     n = len(letters)
     if n < 4:
         return 0, n, 1
     k = _conjugator_length(letters)
     core = letters[k:n - k]
-    if gcd(core.count(core[0]), len(core)) == 1:
-        return k, len(core), 1
-    codes = {letter: chr(i) for i, letter in enumerate(dict.fromkeys(core))}
-    s = "".join(map(codes.__getitem__, core))
-    del core, codes   # not held while the split is certified
+    m = gcd(core.count(core[0]), len(core))   # g, the candidate
+    p = len(core) // m
+    del core   # not held while a split is certified
+    if m == 1 or _certified(letters, k, p, m):
+        return k, p, m
+    codes = {letter: chr(i) for i, letter in enumerate(dict.fromkeys(letters[k:n - k]))}
+    s = "".join(map(codes.__getitem__, letters[k:n - k]))
+    del codes
     p = (s + s).find(s, 1)
-    return _certified(letters, k, p, len(s) // p)
-
-
-def _certified(letters: _Letters, k: int, p: int, m: int) -> tuple[int, int, int]:
-    """The split (k, p, m), once letters is checked to be u c^m u^-1.
-
-    The core between u and u^-1 has m * p letters and period p, so it is
-    m copies of its first p letters; no copy is built.  Raises
-    ``ValueError`` on a mismatch; an explicit check, so it holds under
-    ``python -O`` as well.
-    """
-    n = len(letters)
-    if (m < 1 or p * m != n - 2 * k
-            or letters[k + p:n - k] != letters[k:n - k - p]
-            or letters[n - k:] != tuple(_inverse(letters[:k]))):
+    m = len(s) // p
+    if not _certified(letters, k, p, m):
         raise ValueError(f"({k}, {p}, {m}) is not a root split of the word")
     return k, p, m
+
+
+def _certified(letters: _Letters, k: int, p: int, m: int) -> bool:
+    """Whether letters is u c^m u^-1 with u = letters[:k] and c = letters[k:k + p].
+
+    The core between u and u^-1 has m * p letters and period p, so it is
+    m copies of its first p letters.  No copy is built: the period is
+    checked ``_BLOCK`` letters at a time.  An explicit check, so it holds
+    under ``python -O`` as well.
+    """
+    end = len(letters) - k
+    if m < 1 or p * m != end - k or letters[end:] != tuple(_inverse(letters[:k])):
+        return False
+    for i in range(k + p, end, _BLOCK):
+        if letters[i:min(i + _BLOCK, end)] != letters[i - p:min(i + _BLOCK, end) - p]:
+            return False
+    return True
 
 
 def _power(a: _Letters, m: int,
@@ -347,11 +357,22 @@ class Presentation(Record):
 
 
 def format_word(word: Word, names: tuple[str, ...]) -> str:
-    if not word.letters:
+    """The word's letters in the input format; u c^m u^-1 (``_root``) with
+    m > 1 formats u, c and u^-1 once and repeats the text of c m times."""
+    letters = word.letters
+    if not letters:
         return "()"
-    return " ".join(
-        names[g] if e == 1 else f"{names[g]}^{_digits(e)}" for g, e in word.letters
-    )
+    k, p, m = _root(letters)
+    if m == 1:
+        return _letters_text(letters, names)
+    text = " ".join([_letters_text(letters[k:k + p], names)] * m)
+    if k:
+        text = f"{_letters_text(letters[:k], names)} {text} {_letters_text(letters[-k:], names)}"
+    return text
+
+
+def _letters_text(letters: _Letters, names: tuple[str, ...]) -> str:
+    return " ".join(names[g] if e == 1 else f"{names[g]}^{_digits(e)}" for g, e in letters)
 
 
 def _digits(n: int) -> str:

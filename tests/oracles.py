@@ -1,11 +1,13 @@
 """Test-local independent computations used to freeze expected values,
 among them the dense references ``magnus.expand`` and ``nilpotent.evaluate``
-are checked against: the truncated series product and the group law,
-and ``reference_parse``, the recursive-descent parser that
-``parse_presentation`` replaced."""
+are checked against: the truncated series product and the group law;
+``reference_parse``, the recursive-descent parser that
+``parse_presentation`` replaced, and ``format_letters``, the
+letter-by-letter text ``format_word`` is checked against."""
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -486,6 +488,15 @@ def power_length(a, m):
     m = abs(m)
     merges = m - 1 if a[k][0] == a[last - k][0] else 0
     return 2 * k + m * core - merges
+
+
+def format_letters(word, names):
+    """The text of a word, one letter after another; each exponent is
+    written through ``Decimal``, which has no digit limit."""
+    if not word.letters:
+        return "()"
+    return " ".join(names[g] if e == 1 else f"{names[g]}^{Decimal(e)}"
+                    for g, e in word.letters)
 
 
 def _ref_check_length(letters, tok):

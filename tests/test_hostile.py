@@ -115,6 +115,10 @@ ROWS = [
     # never normalized again, and both evaluators fold 2 letters
     analyze("power_500000", "gens: x y\nrels: (x y)^500000\n", 150_000, 20,
             ("  dim Gamma2/Gamma3 = 0",), flags=("--oracle",)),
+    # its root z (x y) z^-1 is found without a search and certified a
+    # block at a time, with no copy of its core held
+    analyze("conjugated_power_oracle", "gens: x y z\nrels: z (x y)^499990 z^-1\n", 170_000, 10,
+            ("  dim Gamma2/Gamma3 = 1",), flags=("--oracle",)),
     # the copies of x y x merge: x y x^2 y ... x^2 y x, built as it is
     analyze("merged_power_oracle", "gens: x y\nrels: (x y x)^333333\n", 220_000, 20,
             ("  dim Gamma2/Gamma3 = 0",), flags=("--oracle",)),

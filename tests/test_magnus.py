@@ -153,8 +153,10 @@ def test_expand_empty_word():
 
 
 def test_expand_checks_rank():
-    # a raw Word from outside the parser: its largest index is checked
-    for letters in (((2, 1),), ((0, 1), (5, -1))):
+    # a raw Word from outside the parser: its largest index is checked, also
+    # when it is a power, or a conjugate whose only such index is in u
+    for letters in (((2, 1),), ((0, 1), (5, -1)), ((0, 1), (5, -1)) * 3,
+                    ((7, 1), *((0, 1), (1, 1)) * 3, (7, -1))):
         with pytest.raises(ValueError, match="outside the ambient rank"):
             expand(Word(letters), 2)
 

@@ -17,11 +17,18 @@ from kahlercheck.presentation import (
     Presentation,
     Word,
     format_presentation,
+    format_word,
     parse_presentation,
 )
 
-from oracles import power_length, reference_parse
-from strategies import presentations, raw_letters, relator_texts, words_with_rank
+from oracles import format_letters, power_length, reference_parse
+from strategies import (
+    presentations,
+    raw_letters,
+    relator_texts,
+    root_words_with_rank,
+    words_with_rank,
+)
 
 PARSE_CASES = json.loads(
     (Path(__file__).parent / "data" / "parse_errors.json").read_text(encoding="utf-8")
@@ -188,25 +195,48 @@ def test_root_is_the_smallest_period_on_every_short_word():
                 assert letters == letters[:k] + letters[k:k + p] * m + Word(letters[:k]).inverse().letters
 
 
+@given(root_words_with_rank())
+def test_root_is_the_smallest_period_on_powers_and_conjugates(data):
+    _, word = data
+    letters = word.letters
+    assert presentation._root(letters) == (
+        brute_force_root(letters) if len(letters) >= 4 else (0, len(letters), 1))
+
+
 def test_root_certificate_rejects_a_wrong_split(monkeypatch):
     x, y, z = (Word.generator(i) for i in range(3))
     letters = (x * (y * z) ** 3 * x.inverse()).letters
-    assert presentation._certified(letters, 1, 2, 3) == (1, 2, 3)
     assert presentation._root(letters) == (1, 2, 3)
-    # (1, 2, 2) and (1, 2, 4): a wrong m; (1, 3, 2) and (1, 1, 6): the core
-    # y z y z y z has the right length but not period 3 or 1
-    for split in ((0, 2, 3), (2, 2, 3), (1, 2, 2), (1, 2, 4), (1, 3, 2), (1, 1, 6),
-                  (0, 4, 2), (1, -2, -3), (4, 0, 1)):
-        with pytest.raises(ValueError, match="is not a root split"):
-            presentation._certified(letters, *split)
-    # a core of period 2 whose length is not a multiple of 2
-    with pytest.raises(ValueError, match="is not a root split"):
-        presentation._certified((x * (y * z) ** 3 * y * x.inverse()).letters, 1, 2, 3)
-    with pytest.raises(ValueError, match="is not a root split"):   # its core fits, not its u^-1
-        presentation._certified(((x * y) ** 2).letters, 1, 2, 1)
+    for block in (presentation._BLOCK, 1, 2, 5):   # the period compared a block at a time
+        monkeypatch.setattr(presentation, "_BLOCK", block)
+        assert presentation._certified(letters, 1, 2, 3)
+        # (1, 2, 2) and (1, 2, 4): a wrong m; (1, 3, 2) and (1, 1, 6): the core
+        # y z y z y z has the right length but not period 3 or 1
+        for split in ((0, 2, 3), (2, 2, 3), (1, 2, 2), (1, 2, 4), (1, 3, 2), (1, 1, 6),
+                      (0, 4, 2), (1, -2, -3), (4, 0, 1)):
+            assert not presentation._certified(letters, *split)
+        # a core of period 2 whose length is not a multiple of 2
+        assert not presentation._certified((x * (y * z) ** 3 * y * x.inverse()).letters, 1, 2, 3)
+        # its core fits, not its u^-1
+        assert not presentation._certified(((x * y) ** 2).letters, 1, 2, 1)
+        # a mismatch in the last letter of the core only
+        assert not presentation._certified((x * (y * z) ** 2 * y * z ** 2 * x.inverse()).letters,
+                                           1, 2, 3)
+    monkeypatch.undo()
+    # a wrong candidate from the gcd, by period or by length, falls back on
+    # the search, which still finds the smallest period
+    for wrong in (lambda a, b: b, lambda a, b: 4):
+        monkeypatch.setattr(presentation, "gcd", wrong)
+        assert presentation._root(letters) == (1, 2, 3)
+    monkeypatch.undo()
+    # y occurs twice in each y z y z^-1: the candidate m = 6 fails and the
+    # search finds m = 3
+    letters = (x * (y * z * y * z.inverse()) ** 3 * x.inverse()).letters
+    assert not presentation._certified(letters, 1, 2, 6)
+    assert presentation._root(letters) == (1, 4, 3)
     # a coding that gives two letters one character finds a wrong period
     monkeypatch.setattr(presentation, "chr", lambda i: "a", raising=False)
-    with pytest.raises(ValueError, match=r"\(1, 1, 6\) is not a root split"):
+    with pytest.raises(ValueError, match=r"\(1, 1, 12\) is not a root split"):
         presentation._root(letters)
 
 
@@ -449,6 +479,17 @@ def test_format_exponent_past_int_digit_limit():
     pres = parse_presentation(f"gens: x\nrels: {power} {power}\n")
     assert format_presentation(pres) == \
         "gens: x\nrels: x^1" + "9" * 4299 + "8\n"
+    # in the core of a power, whose text is repeated
+    word = Word(((0, 1), (1, -10 ** 4400)) * 3)
+    assert format_word(word, ("x", "y")) == format_letters(word, ("x", "y"))
+
+
+@given(st.one_of(words_with_rank(), root_words_with_rank()))
+@example((3, Word(((2, 5), *((0, 1), (1, 1)) * 4, (2, -5)))))
+def test_format_word_is_the_letter_by_letter_text(data):
+    n, word = data
+    names = tuple(f"x{i}" for i in range(n))
+    assert format_word(word, names) == format_letters(word, names)
 
 
 def test_format_round_trip_at_the_exponent_digit_limit():
