@@ -66,9 +66,8 @@ def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
                 out=None, err=None) -> int:
     out, err = out or sys.stdout, err or sys.stderr
     try:
-        pres = _load(path)
-        doc = report.build_report(pres)
-        mismatch = report.oracle_mismatch(pres, doc) if oracle else None
+        doc = report.build_report(_load(path))
+        mismatch = report.oracle_mismatch(doc) if oracle else None
         if mismatch is None:
             text = (report.render_json(doc) if as_json
                     else report.render_text(doc, explain=explain))

@@ -1,7 +1,7 @@
 """Necessary conditions for a group to be a compact Kahler fundamental group.
 
-Each check reads only the computed two-step invariants and either fires
-a verdict or stays silent.  Codes:
+Each check reads only the computed two-step invariants, never the
+presentation's text, and fires a verdict or stays silent.  Codes:
 
   NOT_KAHLER             the group is not a Kahler group
   NOT_NONFIBERED_KAHLER  it can only be Kahler by fibering over a curve
@@ -17,7 +17,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import gradedlie
-from .presentation import Presentation, format_presentation
+from .presentation import Presentation
 
 
 class VerdictCode(Enum):
@@ -168,7 +168,7 @@ def overall_code(verdicts: tuple[Verdict, ...], all_excluded: bool) -> VerdictCo
 class ObstructionReport(NamedTuple):
     """Everything one analysis computes: invariants, model stage, verdicts."""
 
-    presentation: str        # the input in canonical text form
+    presentation: Presentation   # the input; the renderers print its text
     n: int
     s: int
     k: int
@@ -232,7 +232,7 @@ def evaluate_computed(pres: Presentation,
             "genus dimension counts",
         ))
     return ObstructionReport(
-        presentation=format_presentation(pres),
+        presentation=pres,
         n=pres.n, s=pres.s, k=ab.rank, q=q,
         dim_kernel=ab.dim_kernel, dim_kernel_deg2=rel.dim_kernel,
         dim_relations=rel.dim_relations, dim2=dim2,

@@ -10,7 +10,8 @@ matrix entries as exact rational strings from Fraction (``"3"``,
     theorem, detail}], overall
 
 Both renderers return the document as one string, made from a list of
-pieces joined once.  The JSON document is one ``json.dumps(..., indent=2,
+pieces joined once, and they alone format the report's presentation, so
+``batch`` formats none.  The JSON document is one ``json.dumps(..., indent=2,
 ensure_ascii=False)`` of the schema with an empty differential, and the
 differential's rows are spliced in at that one marker.  Each differential
 row, dense in the output, is the all-zero row of width C(q,2), formatted
@@ -28,7 +29,7 @@ from typing import Iterator
 from . import nilpotent, obstructions
 from .gradedlie import ModelStage
 from .obstructions import ObstructionReport
-from .presentation import Presentation, _digits
+from .presentation import Presentation, _digits, format_presentation
 
 
 class ReportInvariantError(RuntimeError):
@@ -58,9 +59,9 @@ def build_report(pres: Presentation) -> ObstructionReport:
     return doc
 
 
-def oracle_mismatch(pres: Presentation, doc: ObstructionReport) -> str | None:
+def oracle_mismatch(doc: ObstructionReport) -> str | None:
     """Re-derive dim2 through the nilpotent evaluator; describe any mismatch."""
-    independent = nilpotent.commutator_quotient_dim(pres)
+    independent = nilpotent.commutator_quotient_dim(doc.presentation)
     if independent != doc.dim2:
         return (
             f"oracle mismatch: joint-span route gives dim2 = {independent}, "
@@ -73,7 +74,7 @@ def render_text(doc: ObstructionReport, explain: bool = False) -> str:
     genus = "none" if doc.surface_genus is None else str(doc.surface_genus)
     excl = ", ".join(str(g) for g in doc.excluded_genera) or "none"
     pieces = ["presentation:\n"]
-    pieces.extend(f"  {p}\n" for p in doc.presentation.rstrip("\n").split("\n"))
+    pieces.extend(f"  {p}\n" for p in format_presentation(doc.presentation).splitlines())
     pieces += [
         "invariants:\n",
         f"  n = {doc.n}  s = {doc.s}  k = {doc.k}\n",
@@ -142,7 +143,7 @@ def render_json(doc: ObstructionReport) -> str:
     model = doc.model
     document = {
         "schema": 1,
-        "presentation": doc.presentation,
+        "presentation": format_presentation(doc.presentation),
         "n": doc.n,
         "s": doc.s,
         "k": doc.k,

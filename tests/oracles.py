@@ -25,6 +25,7 @@ from kahlercheck.presentation import (
     _join,
     _power,
     _strip_comment,
+    format_presentation,
 )
 
 Rat = Fraction | int
@@ -319,7 +320,8 @@ def fraction_rows(red):
 
 
 def oracle_dict(doc):
-    """The schema-1 report document, with the differential written out dense.
+    """The schema-1 report document, with the differential written out dense
+    and the presentation formatted here.
 
     ``json.dumps(oracle_dict(doc), indent=2, ensure_ascii=False) + "\\n"``
     is the reference layout of ``analyze --json``.
@@ -327,7 +329,7 @@ def oracle_dict(doc):
     differential = densify(doc.model.differential, comb(doc.model.dim_v1, 2))
     return {
         "schema": 1,
-        "presentation": doc.presentation,
+        "presentation": format_presentation(doc.presentation),
         "n": doc.n,
         "s": doc.s,
         "k": doc.k,

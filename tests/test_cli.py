@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from kahlercheck import cli, nilpotent, report
+from kahlercheck import cli, nilpotent, presentation, report
 from kahlercheck.cli import build_parser, main
 from kahlercheck.presentation import parse_presentation
 from kahlercheck.fixtures import (
@@ -138,6 +138,7 @@ FAILURES = [
     (nilpotent, "commutator_quotient_dim", ["--oracle"]),
     (report, "render_text", ["--explain"]),
     (report, "render_json", ["--json"]),
+    (report, "format_presentation", []),   # the text is formatted only to print it
     (cli, "parse_presentation", []),   # e.g. a MemoryError building a long relator
 ])
 @pytest.mark.parametrize("exc, message", FAILURES)
@@ -331,6 +332,17 @@ def test_batch_matches_golden(corpus_dir):
     assert code == 0
     golden = (DATA / "batch_golden.txt").read_text(encoding="utf-8")
     assert out == golden
+
+
+def test_batch_formats_no_presentation(corpus_dir, monkeypatch):
+    # batch prints no presentation text, so it never formats a word
+    def failing(*args, **kwargs):
+        raise AssertionError("format_word called")
+    monkeypatch.setattr(presentation, "format_word", failing)
+    rows = cli._summaries(cli._listed(corpus_dir))
+    golden = (DATA / "batch_golden.txt").read_text(encoding="utf-8").splitlines()[1:]
+    assert [tuple(str(x) for x in row) for row in rows] == [
+        tuple(line.split()) for line in golden]
 
 
 def test_batch_empty_directory(tmp_path):

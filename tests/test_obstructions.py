@@ -33,7 +33,7 @@ from kahlercheck.obstructions import (
     overall_code,
 )
 from kahlercheck.fixtures import CORPUS
-from kahlercheck.presentation import parse_presentation
+from kahlercheck.presentation import format_presentation, parse_presentation
 from kahlercheck.report import build_report, render_json, render_text
 
 import cases
@@ -181,12 +181,17 @@ def test_evaluate_cyclic_group():
 
 
 def test_report_fields_read_by_name():
-    doc = build_report(cases.surface_group(2))
+    pres = cases.surface_group(2)
+    doc = build_report(pres)
+    # the report keeps the presentation it analyzed; the renderers format it
+    assert doc.presentation is pres
+    assert format_presentation(doc.presentation) == (
+        "gens: a1 b1 a2 b2\nrels: a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1\n")
     assert {name: getattr(doc, name) for name in (
         "presentation", "n", "s", "k", "q", "dim_kernel", "dim_kernel_deg2",
         "dim_relations", "dim2", "free_two_step", "surface_genus", "m_max",
         "excluded_genera", "all_genera_excluded", "overall")} == {
-        "presentation": "gens: a1 b1 a2 b2\nrels: a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1\n",
+        "presentation": pres,
         "n": 4, "s": 1, "k": 0, "q": 4, "dim_kernel": 1, "dim_kernel_deg2": 0,
         "dim_relations": 1, "dim2": 5, "free_two_step": False, "surface_genus": 2,
         "m_max": 1, "excluded_genera": (), "all_genera_excluded": False,
