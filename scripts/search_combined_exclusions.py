@@ -3,8 +3,10 @@
 
 Looks for presentations where no single test rules out a Kahler group,
 but the nonfibered relation-count bound together with the genus
-dimension counts does.  Prints each hit as presentation text plus its
-key invariants.
+dimension counts does.  Each presentation runs through
+``report.build_report``, the driver the command line uses, so the
+report's arithmetic self-checks run too.  Prints each hit as
+presentation text plus its key invariants.
 
 Usage: python scripts/search_combined_exclusions.py [count] [seed]
 """
@@ -13,8 +15,9 @@ import random
 import sys
 from pathlib import Path
 
-from kahlercheck.obstructions import CITE_COMBINED, VerdictCode, evaluate
+from kahlercheck.obstructions import CITE_COMBINED, VerdictCode
 from kahlercheck.presentation import format_presentation
+from kahlercheck.report import build_report
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from randgen import random_presentation  # noqa: E402
@@ -25,7 +28,7 @@ def search(count: int, seed: int) -> int:
     hits = 0
     for _ in range(count):
         pres = random_presentation(rng)
-        report = evaluate(pres)
+        report = build_report(pres)
         if report.overall is not VerdictCode.NOT_KAHLER:
             continue
         direct = [

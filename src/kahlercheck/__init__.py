@@ -10,7 +10,6 @@ from .gradedlie import (
     AbelianizationData,
     CommutatorRelations,
     GradedLie2,
-    ModelStage,
     RelatorClass,
     abelianization_data,
     classify_single_relator,
@@ -36,7 +35,6 @@ __all__ = [
     "AbelianizationData",
     "CommutatorRelations",
     "GradedLie2",
-    "ModelStage",
     "ObstructionReport",
     "ParseError",
     "Presentation",

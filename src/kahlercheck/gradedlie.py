@@ -18,9 +18,9 @@ Pipeline, all over the rationals:
 
 3. The graded algebra is then the free two-step algebra on q generators
    modulo W; the bracket of two degree-1 classes is the class of their
-   wedge in the quotient.  The dual cochain picture keeps the same data
-   as a differential from a dim2-dimensional space into the wedge square;
-   both iterate the quotient's sparse rows, read off the RREF of W.
+   wedge in the quotient.  The dual cochain picture is the same record:
+   its differential, from a dim2-dimensional space into the wedge square,
+   is the quotient's sparse rows, read off the RREF of W.
 
 Conventions: wedge coordinates are the pairs (i, j), i < j, in
 lexicographic order, with the index of a pair found by arithmetic (see
@@ -164,7 +164,11 @@ class GradedLie2(NamedTuple):
     ``quotient``.  The bracket of the degree-1 basis classes on wedge
     pair p has coordinate x in degree-2 basis class f exactly when row f
     of ``quotient`` holds (p, x); so its rows are the columns of the
-    C(dim1,2) x dim2 bracket matrix, kept sparse.
+    C(dim1,2) x dim2 bracket matrix, kept sparse.  Read as rows, they are
+    the dual stage's differential: row f is the image of the degree-two
+    generator v_f in the wedge square, the rows span the annihilator of
+    W, and dim2 is the kernel dimension of the cup product on degree-one
+    cohomology for any space with this fundamental group.
     """
 
     dim1: int
@@ -247,23 +251,8 @@ def surface_genus(grl: GradedLie2) -> int | None:
     return q // 2
 
 
-class ModelStage(NamedTuple):
-    """Dual cochain stage: generators in degrees one and two.
-
-    ``differential`` has one sparse row per degree-two generator,
-    listing its image in the wedge square of the degree-one space.  The
-    row space is exactly the annihilator of the relation space under the
-    coordinate pairing, and dim_v2 equals the kernel dimension of the cup
-    product on degree-one cohomology for any space with this fundamental
-    group.
-    """
-
-    dim_v1: int
-    dim_v2: int
-    differential: QuotientBasis   # iterates dim_v2 rows of width C(dim_v1,2)
-
-
-def minimal_model_stage(grl: GradedLie2) -> ModelStage:
-    """The dual stage: its differential is the bracket matrix transposed,
-    which is the degree-2 quotient's coordinate rows as they are."""
-    return ModelStage(grl.dim1, grl.dim2, grl.quotient)
+def minimal_model_stage(grl: GradedLie2) -> GradedLie2:
+    """The dual stage, which is the algebra itself: its differential is the
+    bracket matrix transposed, the algebra's own quotient rows.  It stays
+    only while ``perfbench/tracer.TRACED`` wraps it by name."""
+    return grl

@@ -182,7 +182,7 @@ class ObstructionReport(NamedTuple):
     m_max: int
     excluded_genera: tuple[int, ...]
     all_genera_excluded: bool
-    model: gradedlie.ModelStage
+    model: gradedlie.GradedLie2   # the algebra, read also as the dual model stage
     verdicts: tuple[Verdict, ...]
     overall: VerdictCode
 

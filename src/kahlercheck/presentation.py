@@ -302,10 +302,6 @@ class Word(Record):
         """self ** m, built as u c^m u^-1 (see ``_power``)."""
         return Word._normalized(_power(self.letters, m))
 
-    def conjugated_by(self, g: "Word") -> "Word":
-        """Return g * self * g^-1."""
-        return g * self * g.inverse()
-
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
         return max(self.letters, default=(-1, 0))[0]
@@ -357,14 +353,12 @@ class Presentation(Record):
 
 
 def format_word(word: Word, names: tuple[str, ...]) -> str:
-    """The word's letters in the input format; u c^m u^-1 (``_root``) with
-    m > 1 formats u, c and u^-1 once and repeats the text of c m times."""
+    """The word's letters in the input format: split as u c^m u^-1
+    (``_root``), u, c and u^-1 are formatted once and c's text repeated."""
     letters = word.letters
     if not letters:
         return "()"
     k, p, m = _root(letters)
-    if m == 1:
-        return _letters_text(letters, names)
     text = " ".join([_letters_text(letters[k:k + p], names)] * m)
     if k:
         text = f"{_letters_text(letters[:k], names)} {text} {_letters_text(letters[-k:], names)}"

@@ -27,7 +27,7 @@ from math import comb
 from typing import Iterator
 
 from . import nilpotent, obstructions
-from .gradedlie import ModelStage
+from .gradedlie import GradedLie2
 from .obstructions import ObstructionReport
 from .presentation import Presentation, _digits, format_presentation
 
@@ -44,7 +44,7 @@ def _verify(doc: ObstructionReport) -> None:
          doc.dim_relations == doc.dim_kernel - doc.dim_kernel_deg2),
         ("dim2 = C(q,2) - dim ker d0 + dim ker d1",
          doc.dim2 == comb(doc.q, 2) - doc.dim_kernel + doc.dim_kernel_deg2),
-        ("model dims", doc.model.dim_v1 == doc.q and doc.model.dim_v2 == doc.dim2),
+        ("model dims", doc.model.dim1 == doc.q and doc.model.dim2 == doc.dim2),
         ("ker d1 inside ker d0", 0 <= doc.dim_kernel_deg2 <= doc.dim_kernel),
     )
     failed = [name for name, ok in checks if not ok]
@@ -88,7 +88,7 @@ def render_text(doc: ObstructionReport, explain: bool = False) -> str:
         f"  albanese m_max = {doc.m_max}\n",
         f"  excluded fibration genera: {excl}\n",
         "minimal model stage:\n",
-        f"  dim V1 = {doc.model.dim_v1}  dim V2 = {doc.model.dim_v2}\n",
+        f"  dim V1 = {doc.model.dim1}  dim V2 = {doc.model.dim2}\n",
     ]
     if explain:
         for i, row in enumerate(_differential_rows(doc.model, " "), 1):
@@ -106,7 +106,7 @@ def render_text(doc: ObstructionReport, explain: bool = False) -> str:
     return "".join(pieces)
 
 
-def _differential_rows(model: ModelStage, sep: str) -> Iterator[list[str]]:
+def _differential_rows(model: GradedLie2, sep: str) -> Iterator[list[str]]:
     """Each differential row as the pieces of its dense entries joined by sep.
 
     Every row is the all-zero row "0<sep>0<sep>...0" with its nonzeros
@@ -115,8 +115,8 @@ def _differential_rows(model: ModelStage, sep: str) -> Iterator[list[str]]:
     precomputed zero row, so a row costs its nonzeros and one copy.
     """
     stride = len(sep) + 1
-    zeros = sep.join(["0"] * comb(model.dim_v1, 2)) if model.dim_v2 else ""
-    for row in model.differential:
+    zeros = sep.join(["0"] * comb(model.dim1, 2)) if model.dim2 else ""
+    for row in model.quotient:
         pieces, pos = [], 0
         for c, x in row:
             pieces.append(zeros[pos:c * stride])
@@ -157,7 +157,7 @@ def render_json(doc: ObstructionReport) -> str:
         "m_max": doc.m_max,
         "excluded_genera": doc.excluded_genera,
         "minimal_model": {
-            "dimV1": model.dim_v1, "dimV2": model.dim_v2, "differential": [],
+            "dimV1": model.dim1, "dimV2": model.dim2, "differential": [],
         },
         "verdicts": [
             {"code": v.code.value, "theorem": v.theorem, "detail": v.detail}
@@ -176,7 +176,7 @@ def render_json(doc: ObstructionReport) -> str:
         pieces += row
         pieces.append('"\n      ]')
         row_sep = ",\n"
-    if model.dim_v2:
+    if model.dim2:
         pieces.append("\n    ")
     pieces += ["]", tail, "\n"]
     return "".join(pieces)

@@ -326,7 +326,7 @@ def oracle_dict(doc):
     ``json.dumps(oracle_dict(doc), indent=2, ensure_ascii=False) + "\\n"``
     is the reference layout of ``analyze --json``.
     """
-    differential = densify(doc.model.differential, comb(doc.model.dim_v1, 2))
+    differential = densify(doc.model.quotient, comb(doc.model.dim1, 2))
     return {
         "schema": 1,
         "presentation": format_presentation(doc.presentation),
@@ -343,8 +343,8 @@ def oracle_dict(doc):
         "m_max": doc.m_max,
         "excluded_genera": list(doc.excluded_genera),
         "minimal_model": {
-            "dimV1": doc.model.dim_v1,
-            "dimV2": doc.model.dim_v2,
+            "dimV1": doc.model.dim1,
+            "dimV2": doc.model.dim2,
             "differential": [[str(x) for x in row] for row in differential.entries],
         },
         "verdicts": [

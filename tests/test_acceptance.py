@@ -158,7 +158,7 @@ def test_criterion_10_presentation_move_invariance():
             variants.append(Presentation(pres.generators, tuple(inverted)))
             conjugator = randgen.random_word(rng, pres.n, max_len=4)
             conjugated = list(pres.relators)
-            conjugated[idx] = conjugated[idx].conjugated_by(conjugator)
+            conjugated[idx] = conjugator * conjugated[idx] * conjugator.inverse()
             variants.append(Presentation(pres.generators, tuple(conjugated)))
             variants.append(Presentation(pres.generators,
                                          pres.relators + (pres.relators[idx],)))

@@ -744,7 +744,7 @@ def test_record_annotations_are_evaluated():
                for obj in vars(module).values()
                if isinstance(obj, type) and issubclass(obj, tuple)
                and obj.__module__ == module.__name__]
-    assert len(records) == 9
+    assert len(records) == 8
     for record in records:
         for name, annotation in record.__annotations__.items():
             assert not isinstance(annotation, (str, typing.ForwardRef)), (record, name)

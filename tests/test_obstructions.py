@@ -96,6 +96,7 @@ def test_nonfibered_bound():
     fired = check_nonfibered_bound(4, 2)
     assert fired is not None and fired.theorem == CITE_NONFIBERED_BOUND
     assert check_nonfibered_bound(4, 5) is not None
+    assert check_nonfibered_bound(4, 1) is None   # dim2 equals the bound, 1 at q = 4
     assert check_nonfibered_bound(4, 0) is None
     assert check_nonfibered_bound(3, 99) is None
     assert check_nonfibered_bound(0, 0) is None
@@ -106,6 +107,7 @@ def test_relation_count():
     assert fired is not None and fired.theorem == CITE_RELATION_COUNT
     assert "6" in fired.detail
     assert check_relation_count(4, 0, 4) is not None
+    assert check_relation_count(5, 1, 6) is None   # s equals the bound, 6
     assert check_relation_count(2, 0, 1) is None  # bound is -1, vacuous
 
 
@@ -203,9 +205,9 @@ def test_report_fields_read_by_name():
         (VerdictCode.NOT_NONFIBERED_KAHLER, CITE_RELATION_COUNT,
          "s = 1 < k + 2(n-k-3) + (n-k-1) = 5 with n = 4, k = 0"),
     ]
-    assert (doc.model.dim_v1, doc.model.dim_v2) == (4, 5)
+    assert (doc.model.dim1, doc.model.dim2) == (4, 5)
     one = Fraction(1)
-    assert list(doc.model.differential) == [
+    assert list(doc.model.quotient) == [
         ((1, one),), ((2, one),), ((3, one),), ((4, one),), ((0, -one), (5, one))]
     assert copy.copy(doc) == doc and hash(doc) == hash(copy.deepcopy(doc))
 
@@ -214,7 +216,7 @@ def test_tuple_records_keep_the_tuple_protocol():
     # tuple(x), copy and pickle rely on these; a record must not redefine them
     for record in (magnus.Expansion, linalg.RationalMatrix, linalg.Rref,
                    gradedlie.AbelianizationData, gradedlie.CommutatorRelations,
-                   gradedlie.GradedLie2, gradedlie.ModelStage,
+                   gradedlie.GradedLie2,
                    Verdict, ObstructionReport):
         assert issubclass(record, tuple)
         for method in ("__iter__", "__len__", "__getitem__"):
@@ -289,7 +291,7 @@ def test_render_matches_dense_oracle(pres):
     expected = oracle_dict(doc)
     assert render_json(doc) == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
     rows = expected["minimal_model"]["differential"]
-    assert len(rows) == doc.model.dim_v2
+    assert len(rows) == doc.model.dim2
     assert all(len(row) == comb(doc.q, 2) for row in rows)
     # --explain puts the dense rows right after the model dimensions
     lines = render_text(doc, explain=True).split("\n")
