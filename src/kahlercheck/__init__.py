@@ -8,7 +8,6 @@ group to be the fundamental group of a compact Kahler manifold.
 
 from .gradedlie import (
     AbelianizationData,
-    CommutatorRelations,
     GradedLie2,
     RelatorClass,
     abelianization_data,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianizationData",
-    "CommutatorRelations",
     "GradedLie2",
     "ObstructionReport",
     "ParseError",

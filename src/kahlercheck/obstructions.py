@@ -190,23 +190,20 @@ class ObstructionReport(NamedTuple):
 def evaluate(pres: Presentation) -> ObstructionReport:
     """Run the pipeline and every obstruction check on one presentation."""
     ab = gradedlie.abelianization_data(pres)
-    rel = gradedlie.commutator_relations(ab)
-    grl = gradedlie.graded_lie_algebra(ab, rel)
-    return evaluate_computed(pres, ab, rel, grl)
+    return evaluate_computed(pres, ab, gradedlie.commutator_relations(ab))
 
 
 def evaluate_computed(pres: Presentation,
                       ab: gradedlie.AbelianizationData,
-                      rel: gradedlie.CommutatorRelations,
                       grl: gradedlie.GradedLie2) -> ObstructionReport:
     """Obstruction checks over an already-computed pipeline."""
-    free = gradedlie.is_free_two_step(rel)
+    free = gradedlie.is_free_two_step(grl)
     genus = gradedlie.surface_genus(grl)
     relator_class = (
         gradedlie.classify_relator_series(ab.series[0]) if pres.s == 1 else None
     )
 
-    q, dim2 = ab.q, rel.dim2
+    q, dim2 = ab.q, grl.dim2
     m_max, albanese_verdict = albanese_bound(ab.dim_kernel, q, genus)
     checks = [
         check_even_rank(q),
@@ -234,11 +231,11 @@ def evaluate_computed(pres: Presentation,
     return ObstructionReport(
         presentation=pres,
         n=pres.n, s=pres.s, k=ab.rank, q=q,
-        dim_kernel=ab.dim_kernel, dim_kernel_deg2=rel.dim_kernel,
-        dim_relations=rel.dim_relations, dim2=dim2,
+        dim_kernel=ab.dim_kernel, dim_kernel_deg2=grl.dim_kernel,
+        dim_relations=grl.dim_relations, dim2=dim2,
         free_two_step=free, surface_genus=genus,
         m_max=m_max, excluded_genera=excluded,
         all_genera_excluded=all_excluded,
-        model=gradedlie.minimal_model_stage(grl),
+        model=grl,
         verdicts=tuple(verdicts), overall=overall,
     )

@@ -1,5 +1,7 @@
-"""Shared worked-example presentations used across the test modules."""
+"""Shared worked-example presentations used across the test modules, and
+the package's tuple records."""
 
+from kahlercheck import gradedlie, linalg, magnus, obstructions
 from kahlercheck.fixtures import (
     chain_link_text,
     free_abelian_text,
@@ -7,6 +9,14 @@ from kahlercheck.fixtures import (
     surface_text,
 )
 from kahlercheck.presentation import Presentation, parse_presentation
+
+
+def tuple_records() -> list[type]:
+    """Every tuple subclass the record-holding modules define."""
+    return [obj for module in (gradedlie, linalg, magnus, obstructions)
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, tuple)
+            and obj.__module__ == module.__name__]
 
 
 def free_group(n: int) -> Presentation:

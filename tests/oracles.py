@@ -14,7 +14,7 @@ from math import comb
 
 from kahlercheck import presentation
 from kahlercheck.gradedlie import abelianization_data
-from kahlercheck.linalg import RationalMatrix, rank
+from kahlercheck.linalg import QuotientBasis, RationalMatrix, rank
 from kahlercheck.presentation import (
     MAX_NESTING,
     NAME_RE,
@@ -282,7 +282,7 @@ def dense_commutator_matrix(pres):
     """
     ab = abelianization_data(pres)
     n, q = ab.n, ab.q
-    coords = densify(ab.quotient, n)
+    coords = densify(QuotientBasis(ab.reduced), n)
     quadratic = [dense_expand(rel.letters, n).quadratic for rel in pres.relators]
     columns = []
     for lam in left_kernel(ab):

@@ -739,15 +739,21 @@ def test_cli_import_loads_no_dataclasses():
 def test_record_annotations_are_evaluated():
     # A string annotation costs a ForwardRef compile per field at import.
     import typing
-    from kahlercheck import gradedlie, linalg, magnus, obstructions
-    records = [obj for module in (gradedlie, linalg, magnus, obstructions)
-               for obj in vars(module).values()
-               if isinstance(obj, type) and issubclass(obj, tuple)
-               and obj.__module__ == module.__name__]
-    assert len(records) == 8
+    records = cases.tuple_records()
+    assert sorted(record.__name__ for record in records) == [
+        "AbelianizationData", "Expansion", "GradedLie2", "ObstructionReport",
+        "RationalMatrix", "Rref", "Verdict"]
     for record in records:
         for name, annotation in record.__annotations__.items():
             assert not isinstance(annotation, (str, typing.ForwardRef)), (record, name)
+
+
+def test_public_names_are_exported_in_order():
+    # a record or function folded away must not linger in __all__
+    import kahlercheck
+    public = sorted(name for name, obj in vars(kahlercheck).items()
+                    if not name.startswith("_") and not isinstance(obj, types.ModuleType))
+    assert kahlercheck.__all__ == public
 
 
 def test_search_script_runs_outside_repository(tmp_path):

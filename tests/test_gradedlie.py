@@ -16,7 +16,7 @@ from kahlercheck.gradedlie import (
     minimal_model_stage,
     surface_genus,
 )
-from kahlercheck.linalg import quotient_basis, rank
+from kahlercheck.linalg import QuotientBasis, quotient_basis, rank
 from kahlercheck.presentation import Presentation, Word, parse_presentation
 
 import cases
@@ -55,9 +55,9 @@ def test_degree1_chain_plus_power():
     ab = abelianization_data(cases.CHAIN_PLUS_POWER)
     assert ab.rank == 1 and ab.q == 4 and ab.dim_kernel == 4
     assert rank(exponent_matrix(ab)) == 1
-    assert ab.quotient.reduced.pivots == (0,)
+    assert ab.reduced.pivots == (0,)
     # row space is spanned by (2, -2, 0, 2, 0)
-    assert coordinates(ab.quotient, (2, -2, 0, 2, 0)) == (0, 0, 0, 0)
+    assert coordinates(QuotientBasis(ab.reduced), (2, -2, 0, 2, 0)) == (0, 0, 0, 0)
 
 
 @given(presentations())
@@ -72,7 +72,7 @@ def test_degree1_kernel_rows(pres):
     assert ab.dim_kernel == ab.s - ab.rank == len(left_kernel(ab))
     matrix = exponent_matrix(ab)
     assert ab.rank == rank(matrix)
-    assert ab.quotient == quotient_basis(matrix, ab.n)
+    assert ab.reduced == quotient_basis(matrix, ab.n).reduced
 
 
 @given(presentations())
@@ -99,15 +99,15 @@ def test_degree2_surface_group():
     assert ab.dim_kernel == 1
     assert rel.dim_relations == 1 and rel.dim2 == 5
     # the relation is a1^b1 + a2^b2 in the wedge basis
-    assert densify(rel.reduced.rows, 6).entries == ((1, 0, 0, 0, 0, 1),)
-    assert rel.reduced.rows == (((0, 1), (5, 1)),)
+    assert densify(rel.relations, 6).entries == ((1, 0, 0, 0, 0, 1),)
+    assert rel.relations == (((0, 1), (5, 1)),)
 
 
 def test_degree2_deep_commutator_vanishes():
     ab, rel, _ = pipeline(cases.BRACKET_DEPTH3)
     assert ab.dim_kernel == 1
     assert rel.dim_relations == 0 and rel.dim_kernel == 1
-    assert rel.reduced.rows == ()   # every image is zero
+    assert rel.relations == ()   # every image is zero
     dense = dense_commutator_matrix(cases.BRACKET_DEPTH3)
     assert all(x == 0 for row in dense.entries for x in row)
 
@@ -144,8 +144,8 @@ def test_bracket_is_surjective_with_kernel_w():
         _, rel, grl = pipeline(pres)
         bracket_t = densify(grl.quotient, comb(grl.dim1, 2))
         assert rank(bracket_t) == grl.dim2
-        if rel.reduced.rows:
-            image = bracket_t @ densify(rel.reduced.rows, comb(grl.dim1, 2)).transpose()
+        if rel.relations:
+            image = bracket_t @ densify(rel.relations, comb(grl.dim1, 2)).transpose()
             assert all(x == 0 for row in image.entries for x in row)
 
 
@@ -239,7 +239,7 @@ def test_model_differential_annihilates_relations():
         assert minimal_model_stage(grl) is grl
         width = comb(grl.dim1, 2)
         differential = densify(grl.quotient, width)
-        pairing = differential @ densify(rel.reduced.rows, width).transpose()
+        pairing = differential @ densify(rel.relations, width).transpose()
         assert all(x == 0 for row in pairing.entries for x in row)
         assert rank(differential) == grl.dim2
 
@@ -284,9 +284,9 @@ def test_commutator_matrix_matches_dense_reference(pres):
     rel = commutator_relations(abelianization_data(pres))
     dense = dense_commutator_matrix(pres)
     expected, pivots = gauss_jordan_rref(dense.transpose())
-    assert rel.combinations == dense.cols and rel.reduced.cols == dense.rows
-    assert rel.reduced.pivots == pivots
-    assert (densify(fraction_rows(rel.reduced), dense.rows).entries
+    assert rel.combinations == dense.cols and comb(rel.dim1, 2) == dense.rows
+    assert rel.quotient.reduced.pivots == pivots
+    assert (densify(fraction_rows(rel.quotient.reduced), dense.rows).entries
             == expected.entries[:len(pivots)])
 
 
@@ -298,8 +298,8 @@ def test_commutator_matrix_matches_dense_reference(pres):
 def test_degree2_quotient_matches_second_elimination(pres):
     _, rel, grl = pipeline(pres)
     width = comb(grl.dim1, 2)
-    assert grl.relations == rel.reduced.rows
-    assert grl.quotient == quotient_basis(densify(rel.reduced.rows, width), width)
+    assert grl is rel   # the relation space's record is the algebra
+    assert grl.quotient == quotient_basis(densify(grl.relations, width), width)
 
 
 @settings(max_examples=60)

@@ -5,10 +5,11 @@ import sys
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kahlercheck import gradedlie, linalg, magnus
+from kahlercheck import obstructions
 from kahlercheck.gradedlie import RelatorClass
 from kahlercheck.obstructions import (
     CITE_ALBANESE,
@@ -19,7 +20,6 @@ from kahlercheck.obstructions import (
     CITE_NONFIBERED_BOUND,
     CITE_ONE_RELATOR,
     CITE_RELATION_COUNT,
-    ObstructionReport,
     Verdict,
     VerdictCode,
     albanese_bound,
@@ -34,7 +34,7 @@ from kahlercheck.obstructions import (
 )
 from kahlercheck.fixtures import CORPUS
 from kahlercheck.presentation import format_presentation, parse_presentation
-from kahlercheck.report import build_report, render_json, render_text
+from kahlercheck.report import ReportInvariantError, build_report, render_json, render_text
 
 import cases
 import randgen
@@ -212,12 +212,28 @@ def test_report_fields_read_by_name():
     assert copy.copy(doc) == doc and hash(doc) == hash(copy.deepcopy(doc))
 
 
+@pytest.mark.parametrize("change, failed", [
+    ({"n": 5}, "q = n - k"),
+    ({"s": 2}, "dim ker d0 = s - k"),
+    ({"dim_relations": 2}, "dim W = dim ker d0 - dim ker d1"),
+    ({"dim2": 6}, "dim2 = C(q,2) - dim ker d0 + dim ker d1, model dims"),
+    ({"model": evaluate(cases.chain_link_group(4)).model}, "model dims"),
+    ({"dim_kernel_deg2": 2}, "dim W = dim ker d0 - dim ker d1, "
+     "dim2 = C(q,2) - dim ker d0 + dim ker d1, ker d1 inside ker d0"),
+])
+def test_build_report_names_each_failed_self_check(monkeypatch, change, failed):
+    # surface genus 2: n=4 s=1 k=0 q=4, dim ker d0 = 1, dim ker d1 = 0, dim W = 1, dim2 = 5
+    pres = cases.surface_group(2)
+    broken = evaluate(pres)._replace(**change)
+    monkeypatch.setattr(obstructions, "evaluate", lambda _: broken)
+    with pytest.raises(ReportInvariantError) as info:
+        build_report(pres)
+    assert str(info.value) == "consistency check failed: " + failed
+
+
 def test_tuple_records_keep_the_tuple_protocol():
     # tuple(x), copy and pickle rely on these; a record must not redefine them
-    for record in (magnus.Expansion, linalg.RationalMatrix, linalg.Rref,
-                   gradedlie.AbelianizationData, gradedlie.CommutatorRelations,
-                   gradedlie.GradedLie2,
-                   Verdict, ObstructionReport):
+    for record in cases.tuple_records():
         assert issubclass(record, tuple)
         for method in ("__iter__", "__len__", "__getitem__"):
             assert getattr(record, method) is getattr(tuple, method), (record, method)
