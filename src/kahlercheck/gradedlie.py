@@ -35,13 +35,7 @@ from math import comb, lcm
 from typing import NamedTuple
 
 from . import magnus
-from .linalg import (
-    QuotientBasis,
-    Rref,
-    SparseRow,
-    alternating_rank,
-    rref_rows,
-)
+from .linalg import Rref, SparseRow, alternating_rank, rref_rows
 from .presentation import Presentation
 
 
@@ -86,29 +80,30 @@ def abelianization_data(pres: Presentation) -> AbelianizationData:
 class GradedLie2(NamedTuple):
     """The degree-2 record: relation space W, algebra and dual stage in one.
 
-    ``quotient`` is the wedge square modulo W, held as the RREF of W, the
-    image of the ``combinations`` = dim ker d0 exponent-cancelling
-    relator combinations.  The bracket of the degree-1 basis classes on
-    wedge pair p has coordinate x in degree-2 basis class f exactly when
-    row f of ``quotient`` holds (p, x); so its rows are the columns of
-    the C(dim1,2) x dim2 bracket matrix, kept sparse.  Read as rows, they
-    are the dual stage's differential: row f is the image of the
-    degree-two generator v_f in the wedge square, the rows span the
-    annihilator of W, and dim2 is the kernel dimension of the cup product
-    on degree-one cohomology for any space with this fundamental group.
+    ``reduced`` is the RREF of W in the wedge square, the image of the
+    ``combinations`` = dim ker d0 exponent-cancelling relator
+    combinations.  The bracket of the degree-1 basis classes on wedge
+    pair p has coordinate x in degree-2 basis class f exactly when row f
+    of ``reduced.quotient_rows()`` holds (p, x); so these rows are the
+    columns of the C(dim1,2) x dim2 bracket matrix, kept sparse.  Read as
+    rows, they are the dual stage's differential: row f is the image of
+    the degree-two generator v_f in the wedge square, the rows span the
+    annihilator of W, and dim2 is the kernel dimension of the cup
+    product on degree-one cohomology for any space with this fundamental
+    group.
     """
 
     dim1: int
-    quotient: QuotientBasis      # C(dim1,2)-dimensional ambient modulo W
+    reduced: Rref                # RREF of W in C(dim1,2) columns
     combinations: int            # dim ker d0 = s - k
 
     @property
     def dim2(self) -> int:
-        return self.quotient.dim
+        return self.reduced.cols - self.reduced.rank
 
     @property
     def dim_relations(self) -> int:
-        return self.quotient.reduced.rank
+        return self.reduced.rank
 
     @property
     def dim_kernel(self) -> int:
@@ -118,7 +113,7 @@ class GradedLie2(NamedTuple):
     @property
     def relations(self) -> tuple[SparseRow, ...]:
         """W's integer RREF rows (see ``Rref``), dim_W of them, in C(dim1,2) columns."""
-        return self.quotient.reduced.rows
+        return self.reduced.rows
 
 
 def commutator_relations(ab: AbelianizationData) -> GradedLie2:
@@ -162,7 +157,7 @@ def commutator_relations(ab: AbelianizationData) -> GradedLie2:
                     elif a > b:
                         block[first[b] + a] = block.get(first[b] + a, 0) - c * x * y
         rows.append({col: x for col, x in block.items() if x})
-    return GradedLie2(ab.q, QuotientBasis(rref_rows(rows, comb(ab.q, 2))), ab.dim_kernel)
+    return GradedLie2(ab.q, rref_rows(rows, comb(ab.q, 2)), ab.dim_kernel)
 
 
 def _wedge_first(q: int) -> list[int]:
@@ -226,11 +221,11 @@ def surface_genus(grl: GradedLie2) -> int | None:
     Requires dim1 = 2g, a single degree-2 relation, and that relation of
     full alternating rank 2g; the rank classifies the relation up to a
     change of degree-1 basis.  A form of full rank touches every index,
-    so a relation that does not is rejected before the form is built.
+    so a relation that does not is rejected before its rank is computed.
     """
     q = grl.dim1
     relations = grl.relations
-    if q < 2 or q % 2 or len(relations) != 1 or 2 * len(relations[0]) < q:
+    if q < 2 or q % 2 or len(relations) != 1:
         return None
     first, form, i = _wedge_first(q), {}, 0
     for c, x in relations[0]:          # in column order
@@ -244,6 +239,7 @@ def surface_genus(grl: GradedLie2) -> int | None:
 
 def minimal_model_stage(grl: GradedLie2) -> GradedLie2:
     """The dual stage, which is the algebra itself: its differential is the
-    bracket matrix transposed, the algebra's own quotient rows.  It stays
-    only while ``perfbench/tracer.TRACED`` wraps it by name."""
+    bracket matrix transposed, the algebra's own
+    ``reduced.quotient_rows()``.  It stays only while
+    ``perfbench/tracer.TRACED`` wraps it by name."""
     return grl

@@ -9,23 +9,22 @@ entries.  A row costs its nonzeros, however wide the space.  This form
 of the RREF of a row space is unique: in any row order, the rows of
 Gauss-Jordan elimination over Fraction, each times its pivot entry, so
 reports are reproducible byte for byte.  Only the coordinates
-``QuotientBasis`` yields are Fractions.
+``Rref.quotient_rows`` yields are Fractions.
 
 The pipeline and the ``--oracle`` route pass integer rows only, to
-``rref_rows`` and ``_eliminate``.  The dense ``RationalMatrix``
-(``from_rows``, ``rows``, ``transpose``, ``__matmul__``), ``rref``,
-``rank``, ``nullspace``, ``quotient_basis`` and ``row_space_contains``
-have no caller outside this module: the benchmark's tracer wraps them
-by name, so they stay while it does, and tests use them.  They take
-Fraction entries, so ``rref`` scales its rows to integers, as
-``alternating_rank`` does.
+``rref_rows``, ``_eliminate`` and ``alternating_rank``.  The dense
+``RationalMatrix`` (``from_rows``, ``rows``, ``transpose``,
+``__matmul__``), ``rref``, ``rank``, ``nullspace``, ``quotient_basis``
+(the ``Rref`` of relation rows of a checked width) and
+``row_space_contains`` have no caller outside this module: the
+benchmark's tracer wraps them by name, so they stay while it does, and
+tests use them.  They take Fraction entries, so ``rref`` scales its rows
+to integers.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-from .presentation import Record
 
 
 class RationalMatrix(NamedTuple):
@@ -87,6 +86,28 @@ class Rref(NamedTuple):
     def rank(self) -> int:
         return len(self.pivots)
 
+    def quotient_rows(self) -> Iterator[tuple[tuple[int, Fraction], ...]]:
+        """The coordinates on the ambient space modulo the row space.
+
+        The chosen quotient basis is the classes of the ambient basis
+        vectors at the non-pivot columns.  This yields, per basis class,
+        the sparse row of the (cols - rank) x cols coordinate matrix that
+        sends an ambient vector to its coordinates in that basis; the
+        coordinates kill the relation rows exactly.  The row of free
+        column f is 1 at f and -x / d_i at each pivot P[i], where row i
+        holds x at f and d_i at P[i]; a free column that no row touches
+        is a unit row.  These rows, the pipeline's only Fractions, are
+        made only when iterated.
+        """
+        touched: dict[int, list[tuple[int, Fraction]]] = {}
+        for (p, d), *rest in self.rows:   # the pivot entry leads each row
+            for f, x in rest:
+                touched.setdefault(f, []).append((p, Fraction(-x, d)))
+        pivots, one = set(self.pivots), Fraction(1)
+        for f in range(self.cols):
+            if f not in pivots:
+                yield tuple(sorted([*touched.get(f, ()), (f, one)]))
+
 
 def rref(matrix: RationalMatrix) -> Rref:
     """Reduced row-echelon form of a dense matrix's rows."""
@@ -109,8 +130,8 @@ def rref_rows(rows: Iterable[dict[int, int]], cols: int) -> Rref:
 def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
     """The nonzero entries times the lcm of their denominators, as ints.
 
-    Only the entries of ``rref`` and ``alternating_rank`` may be
-    Fractions, so only they make their rows with it.
+    Only the dense matrices ``rref`` takes hold Fractions, so only it
+    makes its rows with this.
     """
     den = lcm(*[x.denominator for x in row.values()])
     return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
@@ -183,65 +204,31 @@ def nullspace(matrix: RationalMatrix) -> RationalMatrix:
     result has matrix.cols rows and (cols - rank) columns.  These are the
     rows of the quotient coordinates modulo the row space.
     """
-    rows = [dict(row) for row in quotient_basis(matrix, matrix.cols)]
+    rows = [dict(row) for row in rref(matrix).quotient_rows()]
     return RationalMatrix.from_rows(
         [[row.get(c, 0) for row in rows] for c in range(matrix.cols)], len(rows))
 
 
-class QuotientBasis(Record):
-    """A basis of an ambient space modulo the row space of an RREF.
-
-    The chosen quotient basis is the classes of the ambient basis
-    vectors at the non-pivot columns.  Iterating yields, per basis
-    class, the sparse row of the (dim x ambient) coordinate matrix that
-    sends an ambient vector to its coordinates in that basis; the
-    coordinates kill the relation rows exactly.  The row of free column
-    f is 1 at f and -x / d_i at each pivot P[i], where the integer RREF
-    row i holds x at f and d_i at P[i]; a free column that no RREF row
-    touches is a unit row.  The rows, the pipeline's only Fractions, are
-    made only when iterated, so the basis itself costs the RREF alone.
-    """
-
-    __slots__ = ("reduced",)
-
-    def __init__(self, reduced: Rref) -> None:
-        object.__setattr__(self, "reduced", reduced)
-
-    @property
-    def dim(self) -> int:
-        return self.reduced.cols - self.reduced.rank
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, Fraction], ...]]:
-        red = self.reduced
-        touched: dict[int, list[tuple[int, Fraction]]] = {}
-        for (p, d), *rest in red.rows:   # the pivot entry leads each row
-            for f, x in rest:
-                touched.setdefault(f, []).append((p, Fraction(-x, d)))
-        pivots, one = set(red.pivots), Fraction(1)
-        for f in range(red.cols):
-            if f not in pivots:
-                yield tuple(sorted([*touched.get(f, ()), (f, one)]))
-
-
-def quotient_basis(relations: RationalMatrix, ambient_dim: int) -> QuotientBasis:
+def quotient_basis(relations: RationalMatrix, ambient_dim: int) -> Rref:
     if relations.cols != ambient_dim:
         raise ValueError("relation rows must live in the ambient space")
-    return QuotientBasis(rref(relations))
+    return rref(relations)
 
 
-def alternating_rank(form: Mapping[tuple[int, int], Fraction | int], q: int) -> int:
-    """Rank of the antisymmetric q x q matrix with entries form[i, j], i < j.
+def alternating_rank(form: Mapping[tuple[int, int], int], q: int) -> int:
+    """Rank of the antisymmetric q x q matrix with integer entries form[i, j], i < j.
 
-    The matrix is built as q sparse rows from the entries given; the rank
-    of an antisymmetric matrix is always even.
+    The matrix is built as q sparse rows from the nonzero entries given;
+    the rank of an antisymmetric matrix is always even.
     """
-    rows: list[dict[int, Fraction | int]] = [{} for _ in range(q)]
+    rows: list[dict[int, int]] = [{} for _ in range(q)]
     for (i, j), c in form.items():
         if not 0 <= i < j < q:
             raise ValueError(f"({i}, {j}) is not a pair i < j of indices below {q}")
-        rows[i][j] = c
-        rows[j][i] = -c
-    return rref_rows(map(_integer_row, rows), q).rank
+        if c:
+            rows[i][j] = c
+            rows[j][i] = -c
+    return rref_rows(rows, q).rank
 
 
 def row_space_contains(matrix: RationalMatrix, vector: Sequence[Fraction | int]) -> bool:

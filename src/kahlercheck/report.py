@@ -116,7 +116,7 @@ def _differential_rows(model: GradedLie2, sep: str) -> Iterator[list[str]]:
     """
     stride = len(sep) + 1
     zeros = sep.join(["0"] * comb(model.dim1, 2)) if model.dim2 else ""
-    for row in model.quotient:
+    for row in model.reduced.quotient_rows():
         pieces, pos = [], 0
         for c, x in row:
             pieces.append(zeros[pos:c * stride])

@@ -14,7 +14,7 @@ from math import comb
 
 from kahlercheck import presentation
 from kahlercheck.gradedlie import abelianization_data
-from kahlercheck.linalg import QuotientBasis, RationalMatrix, rank
+from kahlercheck.linalg import RationalMatrix, rank
 from kahlercheck.presentation import (
     MAX_NESTING,
     NAME_RE,
@@ -282,7 +282,7 @@ def dense_commutator_matrix(pres):
     """
     ab = abelianization_data(pres)
     n, q = ab.n, ab.q
-    coords = densify(QuotientBasis(ab.reduced), n)
+    coords = densify(ab.reduced.quotient_rows(), n)
     quadratic = [dense_expand(rel.letters, n).quadratic for rel in pres.relators]
     columns = []
     for lam in left_kernel(ab):
@@ -326,7 +326,7 @@ def oracle_dict(doc):
     ``json.dumps(oracle_dict(doc), indent=2, ensure_ascii=False) + "\\n"``
     is the reference layout of ``analyze --json``.
     """
-    differential = densify(doc.model.quotient, comb(doc.model.dim1, 2))
+    differential = densify(doc.model.reduced.quotient_rows(), comb(doc.model.dim1, 2))
     return {
         "schema": 1,
         "presentation": format_presentation(doc.presentation),
@@ -355,10 +355,11 @@ def oracle_dict(doc):
     }
 
 
-def coordinates(basis, vector):
-    """An ambient vector's coordinates in a quotient basis, by the dense product."""
+def coordinates(rows, vector):
+    """An ambient vector's coordinates in a quotient basis, by the dense
+    product with its coordinate rows (``Rref.quotient_rows``)."""
     column = RationalMatrix.from_rows([[x] for x in vector], 1)
-    return tuple(row[0] for row in (densify(basis, len(vector)) @ column).entries)
+    return tuple(row[0] for row in (densify(rows, len(vector)) @ column).entries)
 
 
 # --- the recursive-descent parser, as it was before the one-pass parser ---

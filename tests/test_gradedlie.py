@@ -16,7 +16,7 @@ from kahlercheck.gradedlie import (
     minimal_model_stage,
     surface_genus,
 )
-from kahlercheck.linalg import QuotientBasis, quotient_basis, rank
+from kahlercheck.linalg import quotient_basis, rank
 from kahlercheck.presentation import Presentation, Word, parse_presentation
 
 import cases
@@ -57,7 +57,7 @@ def test_degree1_chain_plus_power():
     assert rank(exponent_matrix(ab)) == 1
     assert ab.reduced.pivots == (0,)
     # row space is spanned by (2, -2, 0, 2, 0)
-    assert coordinates(QuotientBasis(ab.reduced), (2, -2, 0, 2, 0)) == (0, 0, 0, 0)
+    assert coordinates(ab.reduced.quotient_rows(), (2, -2, 0, 2, 0)) == (0, 0, 0, 0)
 
 
 @given(presentations())
@@ -72,7 +72,7 @@ def test_degree1_kernel_rows(pres):
     assert ab.dim_kernel == ab.s - ab.rank == len(left_kernel(ab))
     matrix = exponent_matrix(ab)
     assert ab.rank == rank(matrix)
-    assert ab.reduced == quotient_basis(matrix, ab.n).reduced
+    assert ab.reduced == quotient_basis(matrix, ab.n)
 
 
 @given(presentations())
@@ -123,7 +123,7 @@ def test_algebra_of_free_group():
     for n in (1, 2, 3, 4):
         _, _, grl = pipeline(cases.free_group(n))
         assert grl.dim1 == n and grl.dim2 == comb(n, 2)
-        bracket = densify(grl.quotient, comb(n, 2)).transpose()
+        bracket = densify(grl.reduced.quotient_rows(), comb(n, 2)).transpose()
         assert bracket.entries == identity_matrix(comb(n, 2)).entries
 
 
@@ -142,7 +142,7 @@ def test_bracket_is_surjective_with_kernel_w():
     for pres in (cases.surface_group(2), cases.chain_link_group(4),
                  cases.TWO_RELATOR_Q4, cases.CHAIN_PLUS_POWER):
         _, rel, grl = pipeline(pres)
-        bracket_t = densify(grl.quotient, comb(grl.dim1, 2))
+        bracket_t = densify(grl.reduced.quotient_rows(), comb(grl.dim1, 2))
         assert rank(bracket_t) == grl.dim2
         if rel.relations:
             image = bracket_t @ densify(rel.relations, comb(grl.dim1, 2)).transpose()
@@ -217,7 +217,7 @@ def test_model_stage_free_group():
     _, _, grl = pipeline(cases.free_group(3))
     stage = minimal_model_stage(grl)
     assert stage.dim1 == 3 and stage.dim2 == 3
-    assert densify(stage.quotient, 3).entries == identity_matrix(3).entries
+    assert densify(stage.reduced.quotient_rows(), 3).entries == identity_matrix(3).entries
 
 
 def test_model_stage_surface():
@@ -238,7 +238,7 @@ def test_model_differential_annihilates_relations():
         _, rel, grl = pipeline(pres)
         assert minimal_model_stage(grl) is grl
         width = comb(grl.dim1, 2)
-        differential = densify(grl.quotient, width)
+        differential = densify(grl.reduced.quotient_rows(), width)
         pairing = differential @ densify(rel.relations, width).transpose()
         assert all(x == 0 for row in pairing.entries for x in row)
         assert rank(differential) == grl.dim2
@@ -285,8 +285,8 @@ def test_commutator_matrix_matches_dense_reference(pres):
     dense = dense_commutator_matrix(pres)
     expected, pivots = gauss_jordan_rref(dense.transpose())
     assert rel.combinations == dense.cols and comb(rel.dim1, 2) == dense.rows
-    assert rel.quotient.reduced.pivots == pivots
-    assert (densify(fraction_rows(rel.quotient.reduced), dense.rows).entries
+    assert rel.reduced.pivots == pivots
+    assert (densify(fraction_rows(rel.reduced), dense.rows).entries
             == expected.entries[:len(pivots)])
 
 
@@ -299,7 +299,7 @@ def test_degree2_quotient_matches_second_elimination(pres):
     _, rel, grl = pipeline(pres)
     width = comb(grl.dim1, 2)
     assert grl is rel   # the relation space's record is the algebra
-    assert grl.quotient == quotient_basis(densify(grl.relations, width), width)
+    assert grl.reduced == quotient_basis(densify(grl.relations, width), width)
 
 
 @settings(max_examples=60)

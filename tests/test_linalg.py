@@ -227,53 +227,51 @@ def test_rank_of_transpose(m):
 
 def test_quotient_no_relations():
     qb = quotient_basis(RationalMatrix.from_rows([], cols=4), 4)
-    assert qb.dim == 4
-    assert densify(qb, 4).entries == identity_matrix(4).entries
+    assert qb.cols - qb.rank == 4
+    assert densify(qb.quotient_rows(), 4).entries == identity_matrix(4).entries
 
 
 def test_quotient_basis_is_an_immutable_value():
     qb = quotient_basis(mat([[1, 2, 0], [0, 0, 1]]), 3)
-    assert list(qb) == [((0, Fraction(-2)), (1, Fraction(1)))]
+    assert list(qb.quotient_rows()) == [((0, Fraction(-2)), (1, Fraction(1)))]
     same = quotient_basis(mat([[2, 4, 3], [0, 0, 5]]), 3)   # the same row space
     assert qb == same and hash(qb) == hash(same)
     assert qb != quotient_basis(mat([[1, 0, 0]]), 3)
-    assert qb != qb.reduced
-    assert repr(qb) == f"QuotientBasis(reduced={qb.reduced!r})"
-    assert repr(qb.reduced).startswith("Rref(rows=")
+    assert repr(qb).startswith("Rref(rows=")
     with pytest.raises(AttributeError):
-        qb.reduced = same.reduced
+        qb.rows = same.rows
     with pytest.raises(AttributeError):
-        del qb.reduced
+        del qb.rows
     assert copy.copy(qb) == qb and pickle.loads(pickle.dumps(qb)) == qb
 
 
 def test_quotient_full_relations():
     qb = quotient_basis(identity_matrix(3), 3)
-    assert qb.dim == 0
+    assert qb.cols - qb.rank == 0
 
 
 def test_quotient_single_relation():
     qb = quotient_basis(mat([[2, -2, 0, 2, 0]]), 5)
-    assert qb.dim == 4
-    assert qb.reduced.pivots == (0,)
-    assert coordinates(qb, (2, -2, 0, 2, 0)) == (0, 0, 0, 0)
+    assert qb.cols - qb.rank == 4
+    assert qb.pivots == (0,)
+    assert coordinates(qb.quotient_rows(), (2, -2, 0, 2, 0)) == (0, 0, 0, 0)
     # the class of e_1 equals e_2 - e_4 in the chosen basis
-    assert coordinates(qb, (1, 0, 0, 0, 0)) == (1, 0, -1, 0)
+    assert coordinates(qb.quotient_rows(), (1, 0, 0, 0, 0)) == (1, 0, -1, 0)
 
 
 @given(rational_matrices(), st.data())
 def test_quotient_kills_exactly_the_row_space(m, extra):
     qb = quotient_basis(m, m.cols)
-    assert qb.dim == m.cols - rank(m)
+    assert qb.cols - qb.rank == m.cols - rank(m)
     coeffs = [extra.draw(st.integers(-3, 3)) for _ in range(m.rows)]
     combo = tuple(
         sum((coeffs[i] * m.entries[i][j] for i in range(m.rows)), Fraction(0))
         for j in range(m.cols)
     )
-    assert all(x == 0 for x in coordinates(qb, combo))
+    assert all(x == 0 for x in coordinates(qb.quotient_rows(), combo))
     vec = [extra.draw(st.integers(-3, 3)) for _ in range(m.cols)]
     in_rows = row_space_contains(m, vec)
-    assert all(x == 0 for x in coordinates(qb, vec)) == in_rows
+    assert all(x == 0 for x in coordinates(qb.quotient_rows(), vec)) == in_rows
 
 
 @given(rational_matrices())
@@ -281,8 +279,8 @@ def test_quotient_rows_are_read_off_the_rref(m):
     qb = quotient_basis(m, m.cols)
     red = rref(m)
     free = [c for c in range(m.cols) if c not in red.pivots]
-    assert len(list(qb)) == len(free) == qb.dim
-    for f, row in zip(free, qb):
+    assert len(list(qb.quotient_rows())) == len(free) == qb.cols - qb.rank
+    for f, row in zip(free, qb.quotient_rows()):
         columns = [c for c, _ in row]
         assert columns == sorted(set(columns))
         assert all(x != 0 for _, x in row)
@@ -326,7 +324,7 @@ def test_alternating_rank_validates_pairs():
 def test_alternating_rank_congruence_invariant(data):
     q = data.draw(st.integers(2, 4))
     pairs = wedge_pairs(q)
-    coeffs = [Fraction(data.draw(st.integers(-3, 3))) for _ in pairs]
+    coeffs = [data.draw(st.integers(-3, 3)) for _ in pairs]
     change = mat([
         [data.draw(st.integers(-3, 3)) for _ in range(q)] for _ in range(q)
     ])
@@ -338,7 +336,7 @@ def test_alternating_rank_congruence_invariant(data):
         m[j][i] = -c
     a = mat(m)
     transformed = change.transpose() @ a @ change
-    new_coeffs = [transformed.entries[i][j] for i, j in pairs]
+    new_coeffs = [int(transformed.entries[i][j]) for i, j in pairs]   # integer: so is change
     assert (alternating_rank(wedge_dict(new_coeffs, q), q)
             == alternating_rank(wedge_dict(coeffs, q), q) == rank(a))
 

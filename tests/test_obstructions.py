@@ -207,7 +207,7 @@ def test_report_fields_read_by_name():
     ]
     assert (doc.model.dim1, doc.model.dim2) == (4, 5)
     one = Fraction(1)
-    assert list(doc.model.quotient) == [
+    assert list(doc.model.reduced.quotient_rows()) == [
         ((1, one),), ((2, one),), ((3, one),), ((4, one),), ((0, -one), (5, one))]
     assert copy.copy(doc) == doc and hash(doc) == hash(copy.deepcopy(doc))
 
