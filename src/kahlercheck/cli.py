@@ -35,10 +35,6 @@ from . import fixtures, report
 from .presentation import ParseError, parse_presentation
 
 
-# Longest single write of an analyze document, in characters.  Text-mode
-# stdout encodes each write whole, so slicing bounds that copy.
-WRITE_SLICE = 1 << 20
-
 # The keys of a ``batch --json`` row, in the order of a summary row.
 SUMMARY_FIELDS = ("name", "n", "s", "q", "dim_gamma2_gamma3", "overall")
 
@@ -64,22 +60,30 @@ def _load(path: Path):
 
 def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
                 out=None, err=None) -> int:
+    """Analyze one file, then write its document to out chunk by chunk.
+
+    A failed chunk leaves those before it written; an OSError from
+    ``out.write`` propagates, for ``main_entry`` to report."""
     out, err = out or sys.stdout, err or sys.stderr
     try:
         doc = report.build_report(_load(path))
         mismatch = report.oracle_mismatch(doc) if oracle else None
-        if mismatch is None:
-            text = (report.render_json(doc) if as_json
-                    else report.render_text(doc, explain=explain))
+        chunks = report.json_chunks(doc) if as_json else report.text_chunks(doc, explain)
     except Exception as exc:   # e.g. MemoryError: a report line, not a traceback
         print(f"{path}: {_failure(exc)}", file=err)
         return 2
     if mismatch is not None:
         print(f"{path}: {mismatch}", file=err)
         return 3
-    for start in range(0, len(text), WRITE_SLICE):
-        out.write(text[start:start + WRITE_SLICE])
-    return 0
+    while True:
+        try:
+            chunk = next(chunks, None)
+        except Exception as exc:   # the chunks before it stay written
+            print(f"{path}: {_failure(exc)}", file=err)
+            return 2
+        if chunk is None:
+            return 0
+        out.write(chunk)
 
 
 def _failure(exc: Exception) -> str:

@@ -9,14 +9,17 @@ matrix entries as exact rational strings from Fraction (``"3"``,
     minimal_model {dimV1, dimV2, differential}, verdicts [{code,
     theorem, detail}], overall
 
-Both renderers return the document as one string, made from a list of
-pieces joined once, and they alone format the report's presentation, so
-``batch`` formats none.  The JSON document is one ``json.dumps(..., indent=2,
-ensure_ascii=False)`` of the schema with an empty differential, and the
-differential's rows are spliced in at that one marker.  Each differential
-row, dense in the output, is the all-zero row of width C(q,2), formatted
-once per report, with the row's nonzeros spliced in, so a row costs its
-nonzeros and one copy.
+Each format has one chunk generator, ``text_chunks`` and ``json_chunks``:
+the document's head, then one string per differential row, then its
+tail, each made only when the previous one has been taken, so ``analyze``
+writes a document while holding one row of it.  ``render_text`` and
+``render_json`` join those chunks into one string.  They alone format the
+report's presentation, so ``batch`` formats none.  The JSON document is
+one ``json.dumps(..., indent=2, ensure_ascii=False)`` of the schema with
+an empty differential, and the differential's rows are spliced in at that
+one marker.  Each differential row, dense in the output, is the all-zero
+row of width C(q,2), formatted once per report, with the row's nonzeros
+spliced in, so a row costs its nonzeros and one copy.
 """
 
 from __future__ import annotations
@@ -71,6 +74,11 @@ def oracle_mismatch(doc: ObstructionReport) -> str | None:
 
 
 def render_text(doc: ObstructionReport, explain: bool = False) -> str:
+    return "".join(text_chunks(doc, explain))
+
+
+def text_chunks(doc: ObstructionReport, explain: bool = False) -> Iterator[str]:
+    """The text document: its head, each row ``d(v<i>)`` under explain, the verdicts."""
     genus = "none" if doc.surface_genus is None else str(doc.surface_genus)
     excl = ", ".join(str(g) for g in doc.excluded_genera) or "none"
     pieces = ["presentation:\n"]
@@ -90,12 +98,11 @@ def render_text(doc: ObstructionReport, explain: bool = False) -> str:
         "minimal model stage:\n",
         f"  dim V1 = {doc.model.dim1}  dim V2 = {doc.model.dim2}\n",
     ]
+    yield "".join(pieces)
     if explain:
         for i, row in enumerate(_differential_rows(doc.model, " "), 1):
-            pieces.append(f"  d(v{i}) = [")
-            pieces += row
-            pieces.append("]\n")
-    pieces.append("verdicts:\n")
+            yield "".join([f"  d(v{i}) = [", *row, "]\n"])
+    pieces = ["verdicts:\n"]
     if not doc.verdicts:
         pieces.append("  (none)\n")
     for v in doc.verdicts:
@@ -103,7 +110,7 @@ def render_text(doc: ObstructionReport, explain: bool = False) -> str:
         if explain:
             pieces.append(f"    {v.detail}\n")
     pieces.append(f"overall: {doc.overall.value}\n")
-    return "".join(pieces)
+    yield "".join(pieces)
 
 
 def _differential_rows(model: GradedLie2, sep: str) -> Iterator[list[str]]:
@@ -133,12 +140,16 @@ def _exact(x: Fraction) -> str:
 
 
 def render_json(doc: ObstructionReport) -> str:
+    return "".join(json_chunks(doc))
+
+
+def json_chunks(doc: ObstructionReport) -> Iterator[str]:
     """The schema-1 document: ``json.dumps(..., indent=2, ensure_ascii=False)``.
 
     The differential, which holds almost all of a large document, is
     dumped as ``[]`` and its rows, written directly from the sparse rows
     (their entries are Fraction strings, which need no escaping), are
-    spliced in at that marker.  The pieces are joined once, at the end.
+    spliced in at that marker, one chunk per row.
     """
     model = doc.model
     document = {
@@ -169,14 +180,9 @@ def render_json(doc: ObstructionReport) -> str:
     # and every '"' inside a JSON string is escaped, so no value holds it.
     head, _, tail = json.dumps(document, indent=2, ensure_ascii=False).partition(
         '"differential": []')
-    pieces = [head, '"differential": [']
+    yield head + '"differential": ['
     row_sep = "\n"
     for row in _differential_rows(model, '",\n        "'):
-        pieces.append(row_sep + '      [\n        "')
-        pieces += row
-        pieces.append('"\n      ]')
+        yield "".join([row_sep, '      [\n        "', *row, '"\n      ]'])
         row_sep = ",\n"
-    if model.dim2:
-        pieces.append("\n    ")
-    pieces += ["]", tail, "\n"]
-    return "".join(pieces)
+    yield ("\n    ]" if model.dim2 else "]") + tail + "\n"

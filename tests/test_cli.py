@@ -136,8 +136,8 @@ FAILURES = [
 @pytest.mark.parametrize("owner, name, flags", [
     (report, "build_report", []),
     (nilpotent, "commutator_quotient_dim", ["--oracle"]),
-    (report, "render_text", ["--explain"]),
-    (report, "render_json", ["--json"]),
+    (report, "text_chunks", ["--explain"]),
+    (report, "json_chunks", ["--json"]),
     (report, "format_presentation", []),   # the text is formatted only to print it
     (cli, "parse_presentation", []),   # e.g. a MemoryError building a long relator
 ])
@@ -152,6 +152,21 @@ def test_analyze_reports_a_failed_analysis(corpus_dir, monkeypatch, owner, name,
     assert (code, out, err) == (2, "", f"{path}: {message}\n")
 
 
+@pytest.mark.parametrize("flag", ["--explain", "--json"])
+@pytest.mark.parametrize("exc, message", FAILURES)
+def test_analyze_keeps_the_chunks_written_before_a_failure(corpus_dir, monkeypatch, flag,
+                                                           exc, message):
+    # the head is written before the first differential entry is formatted
+    def failing(x):
+        raise exc
+    path = corpus_dir / "surface_g2.pres"
+    document = run(["analyze", str(path), flag])[1]
+    monkeypatch.setattr(report, "_exact", failing)
+    code, out, err = run(["analyze", str(path), flag])
+    assert (code, err) == (2, f"{path}: {message}\n")
+    assert out and len(out) < len(document) and document.startswith(out)
+
+
 class WriteRecorder:
     """A text stream that keeps each write separately."""
 
@@ -163,15 +178,18 @@ class WriteRecorder:
         return len(text)
 
 
-def test_analyze_writes_a_large_document_in_slices(tmp_path, monkeypatch):
-    # The free group on 30 generators: a --json document of about 2.5 MB.
+def test_analyze_streams_a_large_document(tmp_path, monkeypatch):
+    # The free group on 30 generators: a --json document of about 2.5 MB,
+    # written as its head, one chunk per differential row and its tail.
     text = "gens: " + " ".join(f"x{i}" for i in range(30)) + "\nrels:\n"
     path = write(tmp_path, text)
     out, err = WriteRecorder(), io.StringIO()
     assert main(["analyze", str(path), "--json"], out=out, err=err) == 0
-    expected = report.render_json(report.build_report(parse_presentation(text)))
+    doc = report.build_report(parse_presentation(text))
+    expected = report.render_json(doc)
     assert len(expected) > 2 * (1 << 20) and err.getvalue() == ""
-    assert max(len(piece) for piece in out.writes) <= 1 << 20
+    assert len(out.writes) == doc.dim2 + 2 == 437
+    assert max(len(piece) for piece in out.writes) < 1 << 16
     assert "".join(out.writes) == expected
     # the oracle check runs before the first write
     monkeypatch.setattr(nilpotent, "commutator_quotient_dim", lambda pres: 99)
@@ -663,24 +681,27 @@ def test_batch_shows_a_name_that_is_not_utf8(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_console_script_reports_a_failed_write(corpus_dir):
-    # a full device is one line on stderr, a closed pipe none; both exit 1
-    argv = [sys.executable, "-m", "kahlercheck", "analyze",
-            str(corpus_dir / "surface_g2.pres"), "--json"]
+def test_console_script_reports_a_failed_write(tmp_path):
+    # a full device is one line on stderr, a closed pipe none; both exit 1.
+    # The surface_g2 document fails at the final flush; the 0.47 MB one of
+    # surface_g10 outgrows the stdout buffer, so a write fails as it streams.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
-                              env=env, timeout=60)
-    assert (proc.returncode, proc.stderr) == (
-        1, "kahlercheck: cannot write output: No space left on device\n")
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True,
-                              env=env, timeout=60)
-    finally:
-        os.close(write)
-    assert (proc.returncode, proc.stderr) == (1, "")
+    for genus in (2, 10):
+        path = write(tmp_path, surface_text(genus))
+        argv = [sys.executable, "-m", "kahlercheck", "analyze", str(path), "--json"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            1, "kahlercheck: cannot write output: No space left on device\n"), genus
+        read, write_end = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, ""), genus
 
 
 @pytest.mark.parametrize("command", ["analyze", "batch"])

@@ -105,6 +105,12 @@ ROWS = [
     *(analyze("wide_120" + "_oracle" * oracle, f"gens: {gens(120)}\nrels: (x0,x1) x2\n",
               80_000, 10, ("  dim Gamma2/Gamma3 = 7021",), flags=("--oracle",) * oracle)
       for oracle in (False, True)),
+    # a 40.8 MB document, streamed a differential row at a time: it needs
+    # 14,901-19,472 KiB on Python 3.10-3.13, so the bound is about 3x its
+    # need, where the document held as one string needed 95,644-99,453 KiB
+    analyze("free_60_json", f"gens: {gens(60)}\nrels:\n", 60_000, 10,
+            ('  "dim_gamma2_gamma3": 1770,', '    "dimV2": 1770,', '  "overall": "NOT_KAHLER"'),
+            flags=("--json",)),
     # 100,000 names (690 KB): each duplicate check is one lookup
     analyze("names_100000", f"gens: {gens(100000)}\nrels: (x0,x1)\n", 240_000, 10, (
         "  dim Gamma2/Gamma3 = 4999949999", "  dim V1 = 100000  dim V2 = 4999949999"),

@@ -93,8 +93,10 @@ def test_albanese_bound_monotone():
 
 
 def test_nonfibered_bound():
+    # the boundary: at q = 4 the bound is 1, and dim2 = 2 is the first to fire
     fired = check_nonfibered_bound(4, 2)
-    assert fired is not None and fired.theorem == CITE_NONFIBERED_BOUND
+    assert fired is not None and fired.code is VerdictCode.NOT_NONFIBERED_KAHLER
+    assert fired.theorem == CITE_NONFIBERED_BOUND == "Prop 5.7"
     assert check_nonfibered_bound(4, 5) is not None
     assert check_nonfibered_bound(4, 1) is None   # dim2 equals the bound, 1 at q = 4
     assert check_nonfibered_bound(4, 0) is None

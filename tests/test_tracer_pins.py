@@ -45,5 +45,5 @@ def test_a_traced_analyze_matches_the_untraced_one(monkeypatch, tmp_path):
     finally:
         traced.uninstall()
     names = {span.name for span in traced.take()}
-    assert {"cli.main", "gradedlie.commutator_relations", "report.render_json",
+    assert {"cli.main", "gradedlie.commutator_relations", "report.build_report",
             "nilpotent.commutator_quotient_dim"} <= names
