@@ -1,3 +1,9 @@
-from .cli import main_entry
+import sys
+
+try:
+    from .cli import main_entry
+except MemoryError:   # while loading the program: one line, not a traceback
+    print("kahlercheck: cannot start: MemoryError", file=sys.stderr)
+    sys.exit(2)
 
 main_entry()

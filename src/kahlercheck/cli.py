@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 I/O failure while writing fixtures, or stdout
 from the console script (one line, none for a closed pipe; a process
 started with stdout closed prints the line and runs no command), 2
 usage error, unreadable or unparseable input, or a parse or analysis
-that failed (for example with a MemoryError; reported as one line, never
+that failed (for example with a MemoryError, also one raised while
+``python -m kahlercheck`` loads the program; reported as one line, never
 a traceback), 3 oracle mismatch.
 
 ``main`` parses each command line with one parser kept for the process,

@@ -106,7 +106,8 @@ class Rref(NamedTuple):
         pivots, one = set(self.pivots), Fraction(1)
         for f in range(self.cols):
             if f not in pivots:
-                yield tuple(sorted([*touched.get(f, ()), (f, one)]))
+                entries = touched.get(f)
+                yield tuple(sorted([*entries, (f, one)])) if entries else ((f, one),)
 
 
 def rref(matrix: RationalMatrix) -> Rref:

@@ -14,7 +14,7 @@ the check of its generator indices against the rank.
 
 from typing import NamedTuple
 
-from .presentation import Word, _Letters, _root
+from .presentation import Word, _Letters
 
 
 class Expansion(NamedTuple):
@@ -56,15 +56,15 @@ def _fold(letters: _Letters, n: int) -> tuple[dict[int, int], dict[int, int]]:
 def expand(word: Word, n: int) -> Expansion:
     """Degree-2 data of word - 1, with integer coefficients.
 
-    The word is split as u c^m u^-1 (``_root``) and only the letters of
-    u and c are folded (``_fold``).  In degree 2 the data (L, W) of a
+    The word is split as u c^m u^-1 (``Word.root``) and only the letters
+    of u and c are folded (``_fold``).  In degree 2 the data (L, W) of a
     product is (L + L', W + W' + L ^ L'), with (L ^ L')_ij =
     L_i L'_j - L_j L'_i; so c^m has (m L_c, m W_c), and conjugating it
     by u adds 2 L_u ^ m L_c.  Only the nonzeros are turned back into
     pairs.
     """
     letters = word.letters
-    k, p, m = _root(letters)
+    k, p, m = word.root()
     if max(letters[:k + p], default=(-1, 0))[0] >= n:   # every generator is in u or c
         raise ValueError("word uses a generator index outside the ambient rank")
     linear, wedge = _fold(letters[k:k + p], n)

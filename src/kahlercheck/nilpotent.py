@@ -9,9 +9,10 @@ is the degree-2 Campbell-Hausdorff formula; powers are simply
 (m v, m w), for any integer m.  This gives a second, independently
 coded route to the degree-2 invariants computed by the series pipeline,
 used for cross-checking.  Its arithmetic is its own: from the series
-expansion it shares only the certified split of a word as u c^m u^-1
-(``presentation._root``), none of the degree-1 and degree-2 layers, and
-it takes only the sparse integer elimination from ``linalg``.
+expansion it shares only the certified split of a word as u c^m u^-1,
+which the word finds once and keeps (``Word.root``), whichever route
+reads it first; none of the degree-1 and degree-2 layers; and from
+``linalg`` only the sparse integer elimination.
 
 ``evaluate`` applies that law to integer pairs (v, 2w): a word's
 image has an integer v, and 2w stays integral because each generator
@@ -27,7 +28,7 @@ from __future__ import annotations
 from math import comb
 
 from .linalg import _eliminate
-from .presentation import Presentation, Word, _Letters, _root
+from .presentation import Presentation, Word, _Letters
 
 
 def _wedge_first(n: int) -> list[int]:
@@ -63,13 +64,13 @@ def evaluate(word: Word, n: int) -> tuple[dict[int, int], dict[int, int]]:
     """The image of a word, as the integer pair (v, 2w), nonzeros only.
 
     v is {generator: exponent sum} and 2w is {wedge index: coefficient}.
-    The word is split as u c^m u^-1 (``_root``) and only u and c are
+    The word is split as u c^m u^-1 (``Word.root``) and only u and c are
     multiplied out (``_fold``): by the product law c^m is (m v_c, m w_c),
     and conjugating (v, w) by u gives (v, w + v_u ^ v), so the pair is
     (m v_c, m 2w_c + 2 v_u ^ m v_c).
     """
     letters = word.letters
-    k, p, m = _root(letters)
+    k, p, m = word.root()
     if max(letters[:k + p], default=(-1, 0))[0] >= n:   # every generator is in u or c
         raise ValueError("word uses a generator index outside the ambient rank")
     first = _wedge_first(n)

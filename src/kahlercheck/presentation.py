@@ -224,19 +224,24 @@ def _power(a: _Letters, m: int,
 
 
 class Record:
-    """Base of the immutable slotted records: fields are the ``__slots__``.
+    """Base of the immutable slotted records: fields are the ``__slots__``
+    whose names do not start with ``_``.
 
     A subclass sets its fields once in ``__init__`` through
     ``object.__setattr__`` and takes them positionally in slot order.
     Assignment and deletion raise ``AttributeError``; equality (between
     records of one type), hash, ``repr``, copy and pickle follow the
-    fields.
+    fields.  A slot named ``_...`` is not a field: it holds a value
+    derived from the fields, which none of these read.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -253,7 +258,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
@@ -265,10 +270,11 @@ class Word(Record):
 
     Any sequence of pairs is accepted and normalized on construction, so
     two words are equal iff they are freely equal as products of
-    generator powers.  Words are immutable.
+    generator powers.  Words are immutable.  The slot ``_split`` keeps
+    the word's root split once ``root`` has found it; it is not a field.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_split")
 
     def __init__(self, letters: Iterable[tuple[int, int]] = ()) -> None:
         letters = tuple(letters)
@@ -278,13 +284,24 @@ class Word(Record):
             if type(exp) is not int:
                 raise ValueError(f"exponent must be an int, got {exp!r}")
         object.__setattr__(self, "letters", _normalize(letters))
+        object.__setattr__(self, "_split", None)
 
     @classmethod
     def _normalized(cls, letters: tuple[tuple[int, int], ...]) -> "Word":
         """A word on letters that are already normalized, taken as they are."""
         word = object.__new__(cls)
         object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "_split", None)
         return word
+
+    def root(self) -> tuple[int, int, int]:
+        """The certified split (k, p, m) of the word as u c^m u^-1
+        (``_root``), found on the first call and kept for the next."""
+        split = self._split
+        if split is None:
+            split = _root(self.letters)
+            object.__setattr__(self, "_split", split)
+        return split
 
     @staticmethod
     def generator(index: int, exponent: int = 1) -> "Word":
@@ -354,11 +371,11 @@ class Presentation(Record):
 
 def format_word(word: Word, names: tuple[str, ...]) -> str:
     """The word's letters in the input format: split as u c^m u^-1
-    (``_root``), u, c and u^-1 are formatted once and c's text repeated."""
+    (``Word.root``), u, c and u^-1 are formatted once and c's text repeated."""
     letters = word.letters
     if not letters:
         return "()"
-    k, p, m = _root(letters)
+    k, p, m = word.root()
     text = " ".join([_letters_text(letters[k:k + p], names)] * m)
     if k:
         text = f"{_letters_text(letters[:k], names)} {text} {_letters_text(letters[-k:], names)}"

@@ -17,9 +17,10 @@ writes a document while holding one row of it.  ``render_text`` and
 report's presentation, so ``batch`` formats none.  The JSON document is
 one ``json.dumps(..., indent=2, ensure_ascii=False)`` of the schema with
 an empty differential, and the differential's rows are spliced in at that
-one marker.  Each differential row, dense in the output, is the all-zero
-row of width C(q,2), formatted once per report, with the row's nonzeros
-spliced in, so a row costs its nonzeros and one copy.
+one marker.  The differential rows, dense in the output, are cut from
+one template of zeros made once per report: a unit row is one slice of
+it, and any other row is its zero row with the row's nonzeros spliced
+in, so a row costs its nonzeros and one copy.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def text_chunks(doc: ObstructionReport, explain: bool = False) -> Iterator[str]:
     yield "".join(pieces)
     if explain:
         for i, row in enumerate(_differential_rows(doc.model, " "), 1):
-            yield "".join([f"  d(v{i}) = [", *row, "]\n"])
+            yield f"  d(v{i}) = [{row}]\n"
     pieces = ["verdicts:\n"]
     if not doc.verdicts:
         pieces.append("  (none)\n")
@@ -113,24 +114,35 @@ def text_chunks(doc: ObstructionReport, explain: bool = False) -> Iterator[str]:
     yield "".join(pieces)
 
 
-def _differential_rows(model: GradedLie2, sep: str) -> Iterator[list[str]]:
-    """Each differential row as the pieces of its dense entries joined by sep.
+def _differential_rows(model: GradedLie2, sep: str) -> Iterator[str]:
+    """Each differential row, its dense entries joined by sep.
 
-    Every row is the all-zero row "0<sep>0<sep>...0" with its nonzeros
-    spliced in: the entry in column c starts at offset c * (len(sep) + 1),
-    and the runs of zeros between nonzeros are slices of the one
-    precomputed zero row, so a row costs its nonzeros and one copy.
+    Every row is cut from one template per report: the all-zero row
+    "0<sep>...<sep>0" of C = C(q,2) entries, then "<sep>1" and C - 1 more
+    zeros.  The entry in column c of a row starts at offset c * stride,
+    stride = len(sep) + 1.  A unit row, 1 in column c and 0 elsewhere, is
+    the one slice of a row's width that starts C - c entries in.  Any
+    other row is the zero row, the template's first width characters,
+    with its nonzeros spliced in between slices of it, so it costs its
+    nonzeros and one join.
     """
-    stride = len(sep) + 1
-    zeros = sep.join(["0"] * comb(model.dim1, 2)) if model.dim2 else ""
+    if not model.dim2:
+        return
+    cols, stride = comb(model.dim1, 2), len(sep) + 1
+    width = cols * stride - len(sep)
+    template = ("0" + sep) * cols + "1" + (sep + "0") * (cols - 1)
     for row in model.reduced.quotient_rows():
+        if len(row) == 1:   # only its free column's 1 (``Rref.quotient_rows``)
+            start = (cols - row[0][0]) * stride
+            yield template[start:start + width]
+            continue
         pieces, pos = [], 0
         for c, x in row:
-            pieces.append(zeros[pos:c * stride])
+            pieces.append(template[pos:c * stride])
             pieces.append(_exact(x))
             pos = c * stride + 1
-        pieces.append(zeros[pos:])
-        yield pieces
+        pieces.append(template[pos:width])
+        yield "".join(pieces)
 
 
 def _exact(x: Fraction) -> str:
@@ -181,8 +193,8 @@ def json_chunks(doc: ObstructionReport) -> Iterator[str]:
     head, _, tail = json.dumps(document, indent=2, ensure_ascii=False).partition(
         '"differential": []')
     yield head + '"differential": ['
-    row_sep = "\n"
+    joint = '\n      [\n        "'
     for row in _differential_rows(model, '",\n        "'):
-        yield "".join([row_sep, '      [\n        "', *row, '"\n      ]'])
-        row_sep = ",\n"
-    yield ("\n    ]" if model.dim2 else "]") + tail + "\n"
+        yield joint + row
+        joint = '"\n      ],\n      [\n        "'
+    yield ('"\n      ]\n    ]' if model.dim2 else "]") + tail + "\n"

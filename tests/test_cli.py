@@ -118,6 +118,44 @@ def test_analyze_oracle_agrees(corpus_dir):
         assert code == 0 and err == ""
 
 
+def counted_roots(monkeypatch):
+    """A list that gains one entry per call of ``presentation._root``,
+    through any module of the package that binds it."""
+    calls, root = [], presentation._root
+
+    def counted(letters):
+        calls.append(1)
+        return root(letters)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kahlercheck.") and vars(module).get("_root") is root:
+            monkeypatch.setattr(module, "_root", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("chain_link_8", ("--explain", "--oracle")),
+    ("chain_plus_power", ("--explain", "--oracle")),
+    ("chain_link_8", ("--json",)),
+])
+def test_analyze_splits_each_relator_once(corpus_dir, monkeypatch, name, flags):
+    # the expansion, the oracle and the formatter all read the one split
+    path = corpus_dir / f"{name}.pres"
+    s = parse_presentation(path.read_text(encoding="utf-8")).s
+    calls = counted_roots(monkeypatch)
+    code, out, _ = run(["analyze", str(path), *flags])
+    golden = DATA / "corpus" / (f"{name}.json" if "--json" in flags else f"{name}.explain.txt")
+    assert (code, out) == (0, golden.read_text(encoding="utf-8"))
+    assert len(calls) == s > 1
+
+
+def test_batch_splits_each_relator_once(corpus_dir, monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)   # every file in this process
+    relators = sum(parse_presentation(text).s for _, text in CORPUS)
+    calls = counted_roots(monkeypatch)
+    assert run(["batch", str(corpus_dir)])[0] == 0
+    assert len(calls) == relators > len(CORPUS)
+
+
 def test_analyze_oracle_mismatch_exit_code(corpus_dir, monkeypatch):
     monkeypatch.setattr(nilpotent, "commutator_quotient_dim", lambda pres: 99)
     code, out, err = run(["analyze", str(corpus_dir / "surface_g2.pres"),
@@ -770,11 +808,33 @@ def test_record_annotations_are_evaluated():
 
 
 def test_public_names_are_exported_in_order():
-    # a record or function folded away must not linger in __all__
+    # a record or function folded away must not linger in __all__: each
+    # name is loaded on first use, from the module that defines it
     import kahlercheck
-    public = sorted(name for name, obj in vars(kahlercheck).items()
-                    if not name.startswith("_") and not isinstance(obj, types.ModuleType))
-    assert kahlercheck.__all__ == public
+    assert kahlercheck.__all__ == sorted(set(kahlercheck.__all__))
+    for name in kahlercheck.__all__:
+        obj = getattr(kahlercheck, name)
+        assert not isinstance(obj, types.ModuleType)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from kahlercheck import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == kahlercheck.__all__
+    with pytest.raises(AttributeError):
+        kahlercheck.no_such_name
+
+
+def test_package_import_loads_no_module():
+    # -S: no site hooks; each submodule is loaded when it is first named
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import kahlercheck; before = sorted(sys.modules); "
+            "print([m for m in before if m.startswith('kahlercheck.')]); "
+            "print(kahlercheck.report.__name__, kahlercheck.cli.__name__); "
+            "from kahlercheck import magnus, Word; print(magnus.__name__, Word.__module__)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("[]\nkahlercheck.report kahlercheck.cli\n"
+                           "kahlercheck.magnus kahlercheck.presentation\n")
 
 
 def test_search_script_runs_outside_repository(tmp_path):

@@ -245,3 +245,13 @@ def test_the_address_space_bound_bites(tmp_path):
     result = run(row, tmp_path)
     assert (result.code, result.out, result.err) == (2, "", "input.pres: MemoryError\n"), \
         describe(row, result)
+
+
+def test_running_out_of_memory_while_loading(tmp_path):
+    # a stub ``fractions`` that raises MemoryError when the program imports it
+    (tmp_path / "fractions.py").write_text("raise MemoryError\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=f"{tmp_path}{os.pathsep}{SRC}")
+    proc = subprocess.run([sys.executable, "-m", "kahlercheck", "analyze", "input.pres"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "kahlercheck: cannot start: MemoryError\n")

@@ -299,8 +299,10 @@ def test_known_kahler_controls_fire_nothing_fatal():
 @example(cases.free_group(1))            # q = 1, empty wedge square
 @example(cases.free_abelian_group(4))    # dimV2 = 0 with q = 4
 @example(cases.cyclic_group(5))          # q = 0 with n = 1
+@example(cases.free_group(2))            # one wedge column: a unit row with no zero
 @example(cases.surface_group(3))
 @example(parse_presentation("gens: a b c\nrels: (a,b) (b,c)^-1"))  # first and last columns
+@example(parse_presentation("gens: a b c\nrels: (a,c)"))  # unit rows in the first and last
 @example(parse_presentation("gens: a b c d\nrels: (a,b)^2 (c,d)^3"))  # -3/2 in column 0
 # a generator named as the key of render_json's differential splice marker
 @example(parse_presentation("gens: differential x y\nrels: (differential,x)"))

@@ -275,6 +275,18 @@ def test_word_is_an_immutable_value():
     x = Word(((0, 3),))
     assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
 
+    # the split root() keeps is not a field: a word whose split is known
+    # is equal, hash and repr alike, to a fresh word, and copies equal
+    y = Word(((2, 1), *((0, 1), (1, 1)) * 3, (2, -1)))
+    assert y.root() == (1, 2, 3) and y.root() is y.root()
+    fresh = Word(y.letters)
+    assert y == fresh and hash(y) == hash(fresh) and repr(y) == repr(fresh)
+    assert repr(y) == f"Word(letters={y.letters!r})"
+    for twin in (copy.copy(y), pickle.loads(pickle.dumps(y))):
+        assert twin == y and twin.root() == y.root()
+    with pytest.raises(AttributeError):
+        y._split = None
+
 
 # --- presentations -----------------------------------------------------------
 
