@@ -9,15 +9,16 @@ from the console script (one line, none for a closed pipe; a process
 started with stdout closed prints the line and runs no command), 2
 usage error, unreadable or unparseable input, or a parse or analysis
 that failed (for example with a MemoryError, also one raised while
-``python -m kahlercheck`` loads the program; reported as one line, never
-a traceback), 3 oracle mismatch.
+``python -m kahlercheck`` or the console script loads the program;
+reported as one line, never a traceback), 3 oracle mismatch.
 
 ``main`` parses each command line with one parser kept for the process,
 so in-process callers build it once.
 
 ``batch`` analyzes its files in interleaved shares, one per usable CPU:
 it forks a child for each share but the first, which it runs itself,
-and prints the rows in name order, the same bytes as one serial pass.
+and prints the rows in name order, the same bytes as one serial pass;
+``--json`` writes them from one template per row (``_json_document``).
 """
 
 from __future__ import annotations
@@ -25,19 +26,15 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import json
 import marshal
 import os
 import sys
 import threading
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import fixtures, report
 from .presentation import ParseError, parse_presentation
-
-
-# The keys of a ``batch --json`` row, in the order of a summary row.
-SUMMARY_FIELDS = ("name", "n", "s", "q", "dim_gamma2_gamma3", "overall")
 
 
 class UnreadableInput(Exception):
@@ -46,7 +43,7 @@ class UnreadableInput(Exception):
 
 def _load(path: Path):
     try:
-        data = path.read_bytes()
+        data = _read(path)
     except OSError as exc:
         raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
@@ -57,6 +54,20 @@ def _load(path: Path):
         raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
                          len(lines), len(lines[-1])) from exc
     return parse_presentation(text)
+
+
+def _read(path: Path) -> bytes:
+    """The bytes of a file, read with ``os.read`` until EOF: no file
+    object, no ``fstat``, no ``lseek``.  A file of one read is that one
+    chunk, not a copy (``bytes.join`` of one item returns it)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
@@ -240,12 +251,7 @@ def cmd_batch(directory: Path, as_json: bool, out=None, err=None) -> int:
     good = [row for row in rows if len(row) == 6]
     errors = [row for row in rows if len(row) == 2]
     if as_json:
-        payload = {
-            "schema": 1,
-            "rows": [dict(zip(SUMMARY_FIELDS, row)) for row in good],
-            "errors": [{"name": name, "error": msg} for name, msg in errors],
-        }
-        out.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+        out.write(_json_document(good, errors))
     else:
         width = max([len("name")] + [len(row[0]) for row in good])
         out.write(f"{'name'.ljust(width)}  {'n':>3} {'s':>3} {'q':>3} "
@@ -255,6 +261,28 @@ def cmd_batch(directory: Path, as_json: bool, out=None, err=None) -> int:
         for name, msg in errors:
             out.write(f"error: {name}: {msg}\n")
     return 2 if errors else 0
+
+
+_JSON_ROW = ('    {{\n      "name": {},\n      "n": {},\n      "s": {},\n      "q": {},\n'
+             '      "dim_gamma2_gamma3": {},\n      "overall": {}\n    }}')
+_JSON_ERROR = '    {{\n      "name": {},\n      "error": {}\n    }}'
+
+
+def _json_document(good: list[tuple], errors: list[tuple]) -> str:
+    """``json.dumps({"schema": 1, "rows": ..., "errors": ...}, indent=2,
+    ensure_ascii=False) + "\\n"`` of the summary rows, from the templates
+    above; each string goes through ``encode_basestring``, as in
+    ``json.dumps`` with ``ensure_ascii=False``."""
+    rows = [_JSON_ROW.format(encode_basestring(name), n, s, q, dim2, encode_basestring(overall))
+            for name, n, s, q, dim2, overall in good]
+    failed = [_JSON_ERROR.format(encode_basestring(name), encode_basestring(msg))
+              for name, msg in errors]
+    return (f'{{\n  "schema": 1,\n  "rows": {_json_list(rows)},\n'
+            f'  "errors": {_json_list(failed)}\n}}\n')
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def cmd_fixtures(directory: Path, out=None, err=None) -> int:

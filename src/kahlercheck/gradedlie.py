@@ -134,7 +134,12 @@ def commutator_relations(ab: AbelianizationData) -> GradedLie2:
     at the free column of class a (d_i = 1 for a free column, a unit).
     Each row is scaled by L, the lcm of d_i d_j over its wedge pairs, so
     the entry c on (i, j) adds c * L / (d_i d_j) times the held integers.
+
+    No row is made when W is zero by its dimensions: when q < 2 (no wedge
+    column) or k = s (no combination cancels).
     """
+    if ab.q < 2 or not ab.dim_kernel:
+        return GradedLie2(ab.q, Rref((), (), comb(ab.q, 2)), ab.dim_kernel)
     red = ab.reduced
     pivots = set(red.pivots)
     free = {f: a for a, f in enumerate(f for f in range(ab.n) if f not in pivots)}

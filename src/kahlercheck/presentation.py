@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import re
 from decimal import Decimal
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -144,11 +144,12 @@ def _root(letters: _Letters) -> tuple[int, int, int]:
     its length and the number of times its first letter occurs in it.
     By the Fine-Wilf periodicity lemma every count of copies the core
     splits into divides the largest, so g is m when it is such a count
-    (``_certified``), as when g is 1.  Otherwise each distinct letter of
-    the core is coded as one character (at most ``MAX_LETTERS``, fewer
-    than 0x110000), and p is the first place the coded core occurs again
-    in itself doubled, a C-level, linear search; a wrong split it finds
-    raises instead of reaching an evaluator.  A word of fewer than 4
+    (``_certified``), as when g is 1, and m is 1 when g is a prime that
+    is not.  Otherwise each distinct letter of the core is coded as one
+    character (at most ``MAX_LETTERS``, fewer than 0x110000), and p is
+    the first place the coded core occurs again in itself doubled, a
+    C-level, linear search; a wrong split it finds raises instead of
+    reaching an evaluator.  A word of fewer than 4
     letters is (0, len, 1).
     """
     n = len(letters)
@@ -161,6 +162,8 @@ def _root(letters: _Letters) -> tuple[int, int, int]:
     del core   # not held while a split is certified
     if m == 1 or _certified(letters, k, p, m):
         return k, p, m
+    if all(m % d for d in range(2, isqrt(m) + 1)):   # g is prime: the true m is 1
+        return k, n - 2 * k, 1
     codes = {letter: chr(i) for i, letter in enumerate(dict.fromkeys(letters[k:n - k]))}
     s = "".join(map(codes.__getitem__, letters[k:n - k]))
     del codes

@@ -431,13 +431,13 @@ def test_batch_reports_bad_file(corpus_dir):
 
 
 def unreadable(path, monkeypatch):
-    read_bytes = Path.read_bytes
+    open_ = os.open
 
-    def failing(self):
-        if self == path:
+    def failing(file, *args, **kwargs):
+        if os.fspath(file) == os.fspath(path):
             raise PermissionError(13, "Permission denied")
-        return read_bytes(self)
-    monkeypatch.setattr(Path, "read_bytes", failing)
+        return open_(file, *args, **kwargs)
+    monkeypatch.setattr(cli.os, "open", failing)
 
 
 def test_batch_reports_unreadable_file(corpus_dir, monkeypatch):
@@ -448,6 +448,14 @@ def test_batch_reports_unreadable_file(corpus_dir, monkeypatch):
     assert (f"error: surface_g2.pres: cannot read {target}: Permission denied"
             in out.splitlines())
     assert "line 0" not in out
+
+
+def test_load_reads_a_file_whole(tmp_path):
+    # more bytes than one read takes
+    path = write(tmp_path, "gens: x y\nrels: " + "x y^2 " * 40000 + "\n")
+    assert cli._read(path) == path.read_bytes() and path.stat().st_size > 1 << 17
+    code, out, err = run(["analyze", str(tmp_path)])
+    assert (code, out, err) == (2, "", f"{tmp_path}: cannot read {tmp_path}: Is a directory\n")
 
 
 def test_batch_reports_unreadable_directory(corpus_dir, monkeypatch):
@@ -572,6 +580,45 @@ def test_batch_json(corpus_dir):
     by_name = {row["name"]: row for row in doc["rows"]}
     assert by_name["chain_link_4.pres"]["overall"] == "NOT_KAHLER"
     assert by_name["surface_g3.pres"]["dim_gamma2_gamma3"] == 14
+
+
+def test_batch_json_matches_golden(corpus_dir):
+    code, out, err = run(["batch", str(corpus_dir), "--json"])
+    assert (code, err) == (0, "")
+    assert out == (DATA / "batch_golden.json").read_text(encoding="utf-8")
+
+
+def dumped(rows):
+    """The ``batch --json`` document of rows, as ``json.dumps`` writes it."""
+    fields = ("name", "n", "s", "q", "dim_gamma2_gamma3", "overall")
+    payload = {"schema": 1,
+               "rows": [dict(zip(fields, row)) for row in rows if len(row) == 6],
+               "errors": [dict(zip(("name", "error"), row)) for row in rows if len(row) == 2]}
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_batch_json_is_the_json_dumps_document(tmp_path):
+    # an empty directory, errors only, rows only, and both
+    assert run(["batch", str(tmp_path), "--json"]) == (0, dumped([]), "")
+    write(tmp_path, "gens: x\nrels: (x\n", "broken.pres")
+    write(tmp_path, "gens: x\nrels: x\xff\n", "non_ascii.pres")
+    code, out, _ = run(["batch", str(tmp_path), "--json"])
+    assert code == 2 and out == dumped(cli._summaries(cli._listed(tmp_path)))
+    assert json.loads(out)["rows"] == [] and len(json.loads(out)["errors"]) == 2
+    rows_only = tmp_path / "rows"
+    rows_only.mkdir()
+    for name in ('q"uote.pres', "back\\slash.pres", "new\nline.pres", "sep\u2028.pres",
+                 "é.pres", os.fsdecode(b"a\xff.pres")):
+        write(rows_only, "gens: x y\nrels: (x,y)\n", name)
+    code, out, _ = run(["batch", str(rows_only), "--json"])
+    rows = cli._summaries(cli._listed(rows_only))
+    assert code == 0 and len(rows) == 6 and out == dumped(rows)
+    assert "a\\udcff.pres" in [row["name"] for row in json.loads(out)["rows"]]
+    # every character json escapes, in names and messages alike
+    odd = 'q"\\ \x00\n\u2028 é a\\udcff.pres \x1f\t\ud800'
+    rows = [(odd, 1, 2, 3, 4, "NOT_KAHLER"), ("b.pres", 0, 0, 0, 0, odd),
+            (odd, odd), ("e.pres", "line 1, column 2: " + odd)]
+    assert cli._json_document(rows[:2], rows[2:]) == dumped(rows)
 
 
 def test_batch_on_missing_directory(tmp_path):

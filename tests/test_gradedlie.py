@@ -33,6 +33,10 @@ from oracles import (
 from strategies import identity_matrix, presentations
 
 
+Q_ONE = "gens: x y z\nrels: x y | y z | (x,y)\n"   # q = 1, s = 3 > k = 2
+K_IS_S = "gens: a b c d\nrels: a b\n"               # q = 3, k = s = 1
+
+
 def pipeline(pres):
     ab = abelianization_data(pres)
     rel = commutator_relations(ab)
@@ -279,6 +283,8 @@ def test_jointspan_equivalence(pres):
 @example(cases.chain_link_group(4))
 @example(cases.surface_group(2))
 @example(cases.BRACKET_DEPTH3)
+@example(parse_presentation(Q_ONE))    # q = 1 and s > k: no wedge column
+@example(parse_presentation(K_IS_S))   # q >= 2 and k = s: no combination
 def test_commutator_matrix_matches_dense_reference(pres):
     # the sparse images span the row space of B^T, B = C (Q - Q^T) C^T dense
     rel = commutator_relations(abelianization_data(pres))
@@ -295,11 +301,33 @@ def test_commutator_matrix_matches_dense_reference(pres):
 @example(cases.chain_link_group(4))
 @example(cases.free_abelian_group(3))   # W is the whole wedge square
 @example(cases.free_group(1))           # empty wedge square
+@example(parse_presentation(Q_ONE))
+@example(parse_presentation(K_IS_S))
 def test_degree2_quotient_matches_second_elimination(pres):
     _, rel, grl = pipeline(pres)
     width = comb(grl.dim1, 2)
     assert grl is rel   # the relation space's record is the algebra
     assert grl.reduced == quotient_basis(densify(grl.relations, width), width)
+
+
+@pytest.mark.parametrize("pres, calls, q, combinations", [
+    (parse_presentation(Q_ONE), 1, 1, 1),
+    (parse_presentation(K_IS_S), 1, 3, 0),
+    (cases.surface_group(2), 2, 4, 1),
+])
+def test_degree2_is_skipped_when_w_is_forced_to_zero(monkeypatch, pres, calls, q,
+                                                     combinations):
+    # W = 0 when the wedge square has no column or no combination cancels:
+    # only degree 1 is eliminated
+    counted, rref_rows = [], gradedlie.rref_rows
+
+    def counting(rows, cols):
+        counted.append(cols)
+        return rref_rows(rows, cols)
+    monkeypatch.setattr(gradedlie, "rref_rows", counting)
+    _, rel, _ = pipeline(pres)
+    assert len(counted) == calls
+    assert (rel.dim1, rel.combinations) == (q, combinations)
 
 
 @settings(max_examples=60)

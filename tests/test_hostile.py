@@ -250,8 +250,13 @@ def test_the_address_space_bound_bites(tmp_path):
 def test_running_out_of_memory_while_loading(tmp_path):
     # a stub ``fractions`` that raises MemoryError when the program imports it
     (tmp_path / "fractions.py").write_text("raise MemoryError\n", encoding="utf-8")
+    # ``python -m kahlercheck``, and what the ``kahlercheck`` console script runs
     env = dict(os.environ, PYTHONPATH=f"{tmp_path}{os.pathsep}{SRC}")
-    proc = subprocess.run([sys.executable, "-m", "kahlercheck", "analyze", "input.pres"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", "kahlercheck: cannot start: MemoryError\n")
+    for launch in (("-m", "kahlercheck"),
+                   ("-c", "from kahlercheck.__main__ import main; main()")):
+        proc = subprocess.run([sys.executable, *launch, "analyze", "x.pres"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "kahlercheck: cannot start: MemoryError\n"), launch
+        assert "Traceback" not in proc.stderr

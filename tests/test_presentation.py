@@ -240,6 +240,21 @@ def test_root_certificate_rejects_a_wrong_split(monkeypatch):
         presentation._root(letters)
 
 
+def test_root_of_a_prime_candidate_is_not_searched(monkeypatch):
+    # a b a c: a occurs twice in 4 letters, so the candidate m is the prime
+    # 2; the split for 2 fails, and the true m, which divides 2, is 1
+    certified, calls = presentation._certified, []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return certified(*args)
+    monkeypatch.setattr(presentation, "_certified", counting)
+    monkeypatch.setattr(presentation, "chr", None, raising=False)   # no coded search
+    letters = parse_presentation("gens: a b c\nrels: a b a c\n").relators[0].letters
+    assert presentation._root(letters) == (0, 4, 1)
+    assert calls == [(0, 2, 2)]
+
+
 def test_every_relator_letter_has_a_character():
     # ``_root`` codes each distinct letter of a core as one character
     assert presentation.MAX_LETTERS < 0x110000
