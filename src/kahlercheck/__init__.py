@@ -16,8 +16,7 @@ import sys
 _HOMES = {
     "gradedlie": ("AbelianizationData", "GradedLie2", "RelatorClass",
                   "abelianization_data", "classify_single_relator",
-                  "commutator_relations", "graded_lie_algebra", "is_free_two_step",
-                  "minimal_model_stage", "surface_genus"),
+                  "commutator_relations", "is_free_two_step", "surface_genus"),
     "obstructions": ("ObstructionReport", "Verdict", "VerdictCode", "evaluate"),
     "presentation": ("ParseError", "Presentation", "Word", "format_presentation",
                      "parse_presentation"),

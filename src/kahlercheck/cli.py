@@ -5,12 +5,13 @@
     kahlercheck fixtures <dir>
 
 Exit codes: 0 success, 1 I/O failure while writing fixtures, or stdout
-from the console script (one line, none for a closed pipe; a process
-started with stdout closed prints the line and runs no command), 2
-usage error, unreadable or unparseable input, or a parse or analysis
-that failed (for example with a MemoryError, also one raised while
-``python -m kahlercheck`` or the console script loads the program;
-reported as one line, never a traceback), 3 oracle mismatch.
+from ``kahlercheck.__main__.main``, which ``python -m kahlercheck`` and
+the console script both run (one line, none for a closed pipe; a
+process started with stdout closed prints the line and runs no
+command), 2 usage error, unreadable or unparseable input, or a parse or
+analysis that failed (for example with a MemoryError, also one raised
+while ``__main__.main`` loads this module; reported as one line, never
+a traceback), 3 oracle mismatch.
 
 ``main`` parses each command line with one parser kept for the process,
 so in-process callers build it once.
@@ -70,13 +71,11 @@ def _read(path: Path) -> bytes:
     return b"".join(chunks)
 
 
-def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool,
-                out=None, err=None) -> int:
+def cmd_analyze(path: Path, as_json: bool, explain: bool, oracle: bool, out, err) -> int:
     """Analyze one file, then write its document to out chunk by chunk.
 
     A failed chunk leaves those before it written; an OSError from
-    ``out.write`` propagates, for ``main_entry`` to report."""
-    out, err = out or sys.stdout, err or sys.stderr
+    ``out.write`` propagates, for ``__main__.main`` to report."""
     try:
         doc = report.build_report(_load(path))
         mismatch = report.oracle_mismatch(doc) if oracle else None
@@ -237,8 +236,7 @@ def _is_file(entry: os.DirEntry) -> bool:
         raise
 
 
-def cmd_batch(directory: Path, as_json: bool, out=None, err=None) -> int:
-    out, err = out or sys.stdout, err or sys.stderr
+def cmd_batch(directory: Path, as_json: bool, out, err) -> int:
     if not directory.is_dir():
         print(f"{directory}: not a directory", file=err)
         return 2
@@ -285,8 +283,7 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-def cmd_fixtures(directory: Path, out=None, err=None) -> int:
-    out, err = out or sys.stdout, err or sys.stderr
+def cmd_fixtures(directory: Path, out, err) -> int:
     try:
         written = fixtures.write_corpus(directory)
     except OSError as exc:
@@ -330,32 +327,12 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     """Run one command; out and err default to sys.stdout and sys.stderr at call time."""
     args = _parser().parse_args(argv)
+    out, err = out or sys.stdout, err or sys.stderr
     if args.command == "analyze":
-        return cmd_analyze(args.file, args.json, args.explain, args.oracle,
-                           out=out, err=err)
+        return cmd_analyze(args.file, args.json, args.explain, args.oracle, out, err)
     if args.command == "batch":
-        return cmd_batch(args.dir, args.json, out=out, err=err)
+        return cmd_batch(args.dir, args.json, out, err)
     if args.command == "fixtures":
-        return cmd_fixtures(args.dir, out=out, err=err)
+        return cmd_fixtures(args.dir, out, err)
     raise AssertionError(f"unhandled command {args.command!r}")
 
-
-def main_entry() -> None:
-    """``main`` as a script: a failed write to stdout exits 1, untraced.
-
-    A process started with stdout closed has no ``sys.stdout``; every
-    write would fail, so no command runs.
-    """
-    if sys.stdout is None:
-        print(f"kahlercheck: cannot write output: {os.strerror(errno.EBADF)}",
-              file=sys.stderr)
-        sys.exit(1)
-    try:
-        code = main()
-        sys.stdout.flush()
-    except OSError as exc:   # what stdout still buffers goes to /dev/null
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-        if not isinstance(exc, BrokenPipeError):
-            print(f"kahlercheck: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-    sys.exit(code)

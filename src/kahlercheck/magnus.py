@@ -7,9 +7,10 @@ Q + Q^T = L L^T - diag(L) for every word, Q is fixed by L and its
 antisymmetric part.  ``expand`` keeps both sparse: L on the generators
 with a nonzero exponent sum, q_ij - q_ji on the pairs (i, j), i < j,
 that the word touches.  It works over ``int`` by
-prefix sums in one pass over the letters of the word's root: a word
-u c^m u^-1 costs the letters of u and c, not m copies of c, and so does
-the check of its generator indices against the rank.
+prefix sums in one pass over the letters of the word's root
+(``Word.root``, which gives u, c and m of u c^m u^-1): a word costs the
+letters of u and c, not m copies of c, and so does the check of its
+generator indices against the rank (``Word.max_generator``).
 """
 
 from typing import NamedTuple
@@ -56,23 +57,22 @@ def _fold(letters: _Letters, n: int) -> tuple[dict[int, int], dict[int, int]]:
 def expand(word: Word, n: int) -> Expansion:
     """Degree-2 data of word - 1, with integer coefficients.
 
-    The word is split as u c^m u^-1 (``Word.root``) and only the letters
+    The word is read as u c^m u^-1 (``Word.root``) and only the letters
     of u and c are folded (``_fold``).  In degree 2 the data (L, W) of a
     product is (L + L', W + W' + L ^ L'), with (L ^ L')_ij =
     L_i L'_j - L_j L'_i; so c^m has (m L_c, m W_c), and conjugating it
     by u adds 2 L_u ^ m L_c.  Only the nonzeros are turned back into
     pairs.
     """
-    letters = word.letters
-    k, p, m = word.root()
-    if max(letters[:k + p], default=(-1, 0))[0] >= n:   # every generator is in u or c
+    if word.max_generator() >= n:
         raise ValueError("word uses a generator index outside the ambient rank")
-    linear, wedge = _fold(letters[k:k + p], n)
+    u, c, m = word.root()
+    linear, wedge = _fold(c, n)
     if m != 1:
         linear = {g: m * lg for g, lg in linear.items()}
-        wedge = {key: m * c for key, c in wedge.items()}
-    if k:
-        for i, li in _fold(letters[:k], n)[0].items():
+        wedge = {key: m * x for key, x in wedge.items()}
+    if u:
+        for i, li in _fold(u, n)[0].items():
             for j, lj in linear.items():
                 if i < j:
                     key = i * n + j
@@ -80,4 +80,4 @@ def expand(word: Word, n: int) -> Expansion:
                 elif i > j:
                     key = j * n + i
                     wedge[key] = wedge.get(key, 0) - 2 * li * lj
-    return Expansion(linear, {divmod(key, n): c for key, c in wedge.items() if c})
+    return Expansion(linear, {divmod(key, n): x for key, x in wedge.items() if x})

@@ -17,10 +17,10 @@ reads it first; none of the degree-1 and degree-2 layers; and from
 ``evaluate`` applies that law to integer pairs (v, 2w): a word's
 image has an integer v, and 2w stays integral because each generator
 power factor m e_g adds v ^ m e_g to it.  Both are kept sparse, and
-only the letters of u and c are multiplied out, so a word costs the
-letters of its root times the support of v, not C(n,2) nor m copies
-of c; its generator indices are checked against the rank on u and c
-alone.
+only the letters of u and c (from ``Word.root``) are multiplied out, so
+a word costs the letters of its root times the support of v, not C(n,2)
+nor m copies of c; ``Word.max_generator`` checks its generator indices
+against the rank on u and c alone.
 """
 
 from __future__ import annotations
@@ -64,22 +64,21 @@ def evaluate(word: Word, n: int) -> tuple[dict[int, int], dict[int, int]]:
     """The image of a word, as the integer pair (v, 2w), nonzeros only.
 
     v is {generator: exponent sum} and 2w is {wedge index: coefficient}.
-    The word is split as u c^m u^-1 (``Word.root``) and only u and c are
+    The word is read as u c^m u^-1 (``Word.root``) and only u and c are
     multiplied out (``_fold``): by the product law c^m is (m v_c, m w_c),
     and conjugating (v, w) by u gives (v, w + v_u ^ v), so the pair is
     (m v_c, m 2w_c + 2 v_u ^ m v_c).
     """
-    letters = word.letters
-    k, p, m = word.root()
-    if max(letters[:k + p], default=(-1, 0))[0] >= n:   # every generator is in u or c
+    if word.max_generator() >= n:
         raise ValueError("word uses a generator index outside the ambient rank")
+    u, c, m = word.root()
     first = _wedge_first(n)
-    v, w2 = _fold(letters[k:k + p], first)
+    v, w2 = _fold(c, first)
     if m != 1:
         v = {g: m * vg for g, vg in v.items()}
-        w2 = {q: m * c for q, c in w2.items()}
-    if k:
-        for i, ui in _fold(letters[:k], first)[0].items():
+        w2 = {q: m * x for q, x in w2.items()}
+    if u:
+        for i, ui in _fold(u, first)[0].items():
             for j, vj in v.items():
                 if i < j:
                     q = first[i] + j
@@ -87,7 +86,7 @@ def evaluate(word: Word, n: int) -> tuple[dict[int, int], dict[int, int]]:
                 elif i > j:
                     q = first[j] + i
                     w2[q] = w2.get(q, 0) - 2 * ui * vj
-    return v, {q: c for q, c in w2.items() if c}
+    return v, {q: x for q, x in w2.items() if x}
 
 
 def commutator_quotient_dim(pres: Presentation) -> int:

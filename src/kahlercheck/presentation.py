@@ -27,7 +27,13 @@ of what they would build, and refuse before building past it.
 Every word the parser builds, down to each factor, is kept normalized:
 no two adjacent letters share a generator and no exponent is zero.  So
 joining two words can merge or cancel letters only at the junction
-(``_join``), and a relator is never normalized a second time.
+(``_join``), and a relator is never normalized a second time.  ``Word``
+reduces the letters it is given with the same ``_join``, one at a time.
+
+A word is read after parsing through its root split u c^m u^-1, with c
+not a proper power (``Word.root``): the letters of u and c, and m.  They
+hold every generator of the word, so ``Word.max_generator``, the range
+check of ``Presentation`` and of both evaluators, reads only them.
 
 The ``gens:`` line is read straight into the relators' name table,
 ``atoms`` (name to its one-letter word): each whitespace-separated name
@@ -73,27 +79,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-def _normalize(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Merge adjacent letters on the same generator, dropping zero exponents.
-
-    Each letter merges with, or cancels, the last letter kept so far, so
-    this is linear in the letters.
-    """
-    out: list[tuple[int, int]] = []
-    for gen, exp in letters:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            if merged == 0:
-                out.pop()
-            else:
-                out[-1] = (gen, merged)
-        else:
-            out.append((gen, exp))
-    return tuple(out)
 
 
 # Normalized words as letter sequences, shared by ``Word`` and the parser.
@@ -271,22 +256,25 @@ class Record:
 class Word(Record):
     """A normalized free-group word: tuple of (generator index, exponent).
 
-    Any sequence of pairs is accepted and normalized on construction, so
-    two words are equal iff they are freely equal as products of
-    generator powers.  Words are immutable.  The slot ``_split`` keeps
-    the word's root split once ``root`` has found it; it is not a field.
+    Any sequence of pairs is accepted and normalized on construction
+    (each nonzero letter joined to the word with ``_join``), so two words
+    are equal iff they are freely equal as products of generator powers.
+    Words are immutable.  The slot ``_split`` keeps the word's root split
+    once ``root`` has found it; it is not a field.
     """
 
     __slots__ = ("letters", "_split")
 
     def __init__(self, letters: Iterable[tuple[int, int]] = ()) -> None:
-        letters = tuple(letters)
+        reduced: list[tuple[int, int]] = []
         for gen, exp in letters:   # bool is an int subclass, but not a number here
             if type(gen) is not int or gen < 0:
                 raise ValueError(f"generator index must be a non-negative int, got {gen!r}")
             if type(exp) is not int:
                 raise ValueError(f"exponent must be an int, got {exp!r}")
-        object.__setattr__(self, "letters", _normalize(letters))
+            if exp:
+                _join(reduced, ((gen, exp),))
+        object.__setattr__(self, "letters", tuple(reduced))
         object.__setattr__(self, "_split", None)
 
     @classmethod
@@ -297,12 +285,15 @@ class Word(Record):
         object.__setattr__(word, "_split", None)
         return word
 
-    def root(self) -> tuple[int, int, int]:
-        """The certified split (k, p, m) of the word as u c^m u^-1
-        (``_root``), found on the first call and kept for the next."""
+    def root(self) -> tuple[_Letters, _Letters, int]:
+        """The certified split of the word as u c^m u^-1 (``_root``): the
+        letters of u and of c, and m; found on the first call and kept for
+        the next.  u^-1 is the word's last len(u) letters."""
         split = self._split
         if split is None:
-            split = _root(self.letters)
+            letters = self.letters
+            k, p, m = _root(letters)
+            split = letters[:k], letters[k:k + p], m
             object.__setattr__(self, "_split", split)
         return split
 
@@ -323,8 +314,10 @@ class Word(Record):
         return Word._normalized(_power(self.letters, m))
 
     def max_generator(self) -> int:
-        """Largest generator index used, or -1 for the empty word."""
-        return max(self.letters, default=(-1, 0))[0]
+        """Largest generator index used, or -1 for the empty word: u and c
+        of its root hold every generator, so only they are read."""
+        u, c, _ = self.root()
+        return max(itertools.chain(u, c), default=(-1, 0))[0]
 
     def __bool__(self) -> bool:
         return bool(self.letters)
@@ -347,11 +340,10 @@ class Presentation(Record):
                 raise ValueError(f"duplicate generator {name!r}")
             seen.add(name)
         for rel in self.relators:
-            if rel.max_generator() >= self.n:
-                raise ValueError(
-                    f"relator uses generator index {rel.max_generator()}, "
-                    f"but only {self.n} generators are declared"
-                )
+            top = rel.max_generator()
+            if top >= self.n:
+                raise ValueError(f"relator uses generator index {top}, "
+                                 f"but only {self.n} generators are declared")
 
     @classmethod
     def _parsed(cls, generators: tuple[str, ...],
@@ -375,13 +367,13 @@ class Presentation(Record):
 def format_word(word: Word, names: tuple[str, ...]) -> str:
     """The word's letters in the input format: split as u c^m u^-1
     (``Word.root``), u, c and u^-1 are formatted once and c's text repeated."""
-    letters = word.letters
-    if not letters:
+    if not word:
         return "()"
-    k, p, m = word.root()
-    text = " ".join([_letters_text(letters[k:k + p], names)] * m)
-    if k:
-        text = f"{_letters_text(letters[:k], names)} {text} {_letters_text(letters[-k:], names)}"
+    u, c, m = word.root()
+    text = " ".join([_letters_text(c, names)] * m)
+    if u:
+        u_inverse = word.letters[-len(u):]
+        text = f"{_letters_text(u, names)} {text} {_letters_text(u_inverse, names)}"
     return text
 
 

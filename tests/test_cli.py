@@ -868,6 +868,12 @@ def test_public_names_are_exported_in_order():
     assert sorted(set(namespace) - {"__builtins__"}) == kahlercheck.__all__
     with pytest.raises(AttributeError):
         kahlercheck.no_such_name
+    # both return their argument unchanged: gradedlie keeps them, the package
+    # does not export them
+    for name in ("graded_lie_algebra", "minimal_model_stage"):
+        assert name not in kahlercheck.__all__ and name not in namespace
+        with pytest.raises(AttributeError):
+            getattr(kahlercheck, name)
 
 
 def test_package_import_loads_no_module():

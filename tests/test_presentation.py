@@ -23,6 +23,7 @@ from kahlercheck.presentation import (
 
 from oracles import format_letters, power_length, reference_parse
 from strategies import (
+    commutator_words_with_rank,
     presentations,
     raw_letters,
     relator_texts,
@@ -41,6 +42,16 @@ def test_word_normalizes_adjacent_letters():
     assert Word(((0, 1), (0, 1))).letters == ((0, 2),)
     assert Word(((0, 1), (1, 1), (1, -1), (0, 1))).letters == ((0, 2),)
     assert Word(((0, 3), (0, -3))).letters == ()
+    # a zero exponent is dropped, and the letters either side of it merge
+    assert Word(((0, 1), (1, 0), (0, 1))).letters == ((0, 2),)
+    assert Word(((0, 0),)).letters == ()
+
+
+@given(st.one_of(words_with_rank(), root_words_with_rank(), commutator_words_with_rank()))
+def test_max_generator_is_the_largest_index_of_any_letter(data):
+    # read on u and c of the root alone, it is the largest over every letter
+    _, word = data
+    assert word.max_generator() == max(word.letters, default=(-1, 0))[0]
 
 
 def test_word_rejects_bad_generator_index():
@@ -293,7 +304,7 @@ def test_word_is_an_immutable_value():
     # the split root() keeps is not a field: a word whose split is known
     # is equal, hash and repr alike, to a fresh word, and copies equal
     y = Word(((2, 1), *((0, 1), (1, 1)) * 3, (2, -1)))
-    assert y.root() == (1, 2, 3) and y.root() is y.root()
+    assert y.root() == (((2, 1),), ((0, 1), (1, 1)), 3) and y.root() is y.root()
     fresh = Word(y.letters)
     assert y == fresh and hash(y) == hash(fresh) and repr(y) == repr(fresh)
     assert repr(y) == f"Word(letters={y.letters!r})"
@@ -312,6 +323,10 @@ def test_presentation_validates_names():
         Presentation(("1x",))
     with pytest.raises(ValueError):
         Presentation((("x"),), (Word(((1, 1),)),))
+    # the only index out of range is in u of the root u c^m u^-1
+    with pytest.raises(ValueError, match="relator uses generator index 5, "
+                                         "but only 2 generators are declared"):
+        Presentation(("x", "y"), (Word(((5, 1), *((0, 1), (1, 1)) * 3, (5, -1))),))
 
 
 def test_presentation_is_an_immutable_value():
